@@ -1,10 +1,10 @@
 """Generated per-GPM memory walkers (partial evaluation of the hot path).
 
-The fused walkers in :mod:`repro.core.memsys` collapse a record's memory
-batch into one closure call, but they still pay, per line, for work that
-is invariant for a given system: homing dispatch over a tuple of candidate
-homes, bound-method calls into every :class:`BandwidthPipe` on the path,
-latency attribute loads, and per-SM deferred-counter cells folded SM by SM.
+A walker collapses a record's memory batch into one closure call.  A
+generic closure would still pay, per line, for work that is invariant for
+a given system: homing dispatch over a tuple of candidate homes,
+bound-method calls into every :class:`BandwidthPipe` on the path, latency
+attribute loads, and per-SM deferred-counter cells folded SM by SM.
 
 This module instead *generates* walker source for each GPM with every
 system-invariant decision resolved at build time:
@@ -38,11 +38,6 @@ path; tests/test_perf_identity.py pins this across the config matrix.
 from __future__ import annotations
 
 from typing import Dict, List
-
-
-class UnsupportedWalk(Exception):
-    """Raised when a system's shape cannot be specialized (caller falls
-    back to the generic fused walker)."""
 
 
 def _ind(level: int, text: str) -> str:
@@ -88,14 +83,13 @@ class _GpmCodegen:
         self.page_map_get = page_map.get if page_map is not None else None
 
         gpm = self.gpm
-        sms = gpm.sms
-        l1_shapes = {
-            (sm.l1.n_sets, sm.l1.ways, sm.l1._track_dirty, sm.l1_hit_latency)
-            for sm in sms
-        }
-        if len(l1_shapes) != 1:
-            raise UnsupportedWalk(f"gpm {gpm_id}: non-uniform L1 shapes")
-        self.l1_n_sets, self.l1_ways, self.l1_track, self.l1_hit = l1_shapes.pop()
+        # Every SM of a GPM is built from the same SMConfig, so SM 0's L1
+        # shape is every SM's.
+        sm0 = gpm.sms[0]
+        self.l1_n_sets = sm0.l1.n_sets
+        self.l1_ways = sm0.l1.ways
+        self.l1_track = sm0.l1._track_dirty
+        self.l1_hit = sm0.l1_hit_latency
 
         self.has_l15 = gpm.has_l15
         self.caches_local = gpm.l15_caches_local
@@ -114,8 +108,7 @@ class _GpmCodegen:
     def bind(self, name: str, value) -> str:
         known = self._bound.get(name)
         if known is not None:
-            if known is not value:  # pragma: no cover - generator invariant
-                raise UnsupportedWalk(f"ctx name collision: {name}")
+            assert known is value, f"ctx name collision: {name}"
             return name
         self._bound[name] = value
         self.ctx_names.append(name)
@@ -323,7 +316,7 @@ class _GpmCodegen:
         else:
             out.append(_ind(ind, "_t = base_time"))
         out.append(_ind(ind, f"{c(f'rgr{home}')} += 1"))
-        routes = self.memsys._ring._routes
+        routes = self.memsys._ring.routes
         self._emit_hops(out, ind, routes[self.gid][home], "request_pipe",
                         self.request_bytes, "_t")
         out.append(_ind(ind, f"_t = _t + {self.gpms[home].l2_hit_latency!r}"))
@@ -405,7 +398,7 @@ class _GpmCodegen:
             self._emit_l15_store(out, ind, unique)
         out.append(_ind(ind, "_t = store_time"))
         out.append(_ind(ind, f"{c(f'rgs{home}')} += 1"))
-        routes = self.memsys._ring._routes
+        routes = self.memsys._ring.routes
         self._emit_hops(out, ind, routes[self.gid][home], "request_pipe",
                         self.store_bytes, "_t")
         out.append(_ind(ind, f"_t = _t + {self.gpms[home].l2_hit_latency!r}"))
@@ -600,7 +593,7 @@ def _make_gpm_fold(memsys, gpm_id, gc, idx, line_bytes, header_bytes):
     page_table = memsys._page_table
     xbar = gpm.xbar
     l15 = gpm.l15
-    routes = memsys._ring._routes
+    routes = memsys._ring.routes
     response_bytes = line_bytes + header_bytes
 
     # Resolve every counter index once; cells a GPM's walkers never emit
@@ -709,20 +702,11 @@ def build_walkers(memsys):
     """Generate ``(walk, walk_u)`` pairs for every SM of ``memsys``.
 
     Registers the deferred-counter folds on ``memsys._walker_flushes`` (the
-    engine runs them at the end of every kernel drain).  Raises
-    :class:`UnsupportedWalk` for system shapes the generator cannot
-    specialize; the caller falls back to the generic fused walker.
+    engine runs them at the end of every kernel drain).
     """
     from .memsys import LINE_BYTES, REQUEST_HEADER_BYTES
 
     gpms = memsys._gpms
-    n = len(gpms)
-    # Only ring interconnects precompute per-(src, dst) link routes; other
-    # topologies (e.g. all-to-all) take the generic fused walker.
-    routes = getattr(memsys._ring, "_routes", None)
-    if routes is None or (n > 1 and not routes):
-        raise UnsupportedWalk("interconnect without precomputed ring routes")
-
     l2_counts = {gpm.l2.n_sets for gpm in gpms}
     uniform_l2 = l2_counts.pop() if len(l2_counts) == 1 else 0
     l15_counts = {gpm.l15.n_sets if gpm.has_l15 else 0 for gpm in gpms}

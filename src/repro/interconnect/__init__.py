@@ -6,12 +6,12 @@ from .board import (
     make_board_interconnect,
 )
 from .crossbar import GPMCrossbar
-from .fully_connected import FullyConnectedNetwork, iso_budget_link_bandwidth
+from .fully_connected import iso_budget_link_bandwidth, make_fully_connected
 from .grid import GraphNetwork
 from .hierarchical import PACKAGE_SIZE, make_hierarchical
 from .link import Link
 from .mesh import grid_dims, make_mesh
-from .ring import CLOCKWISE, COUNTER_CLOCKWISE, RingNetwork
+from .ring import make_ring
 from .topology import (
     TopologyDescriptor,
     build_network,
@@ -25,17 +25,15 @@ __all__ = [
     "BOARD_HOP_LATENCY_CYCLES",
     "make_board_interconnect",
     "GPMCrossbar",
-    "FullyConnectedNetwork",
     "iso_budget_link_bandwidth",
+    "make_fully_connected",
     "GraphNetwork",
     "PACKAGE_SIZE",
     "make_hierarchical",
     "Link",
     "grid_dims",
     "make_mesh",
-    "CLOCKWISE",
-    "COUNTER_CLOCKWISE",
-    "RingNetwork",
+    "make_ring",
     "TopologyDescriptor",
     "build_network",
     "get_topology",

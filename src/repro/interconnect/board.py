@@ -1,7 +1,7 @@
 """Board-level interconnect for multi-GPU systems (Section 6).
 
 A two-GPU board is topologically a two-node ring, so we reuse
-:class:`~repro.interconnect.ring.RingNetwork`; what distinguishes the board
+:func:`~repro.interconnect.ring.make_ring`; what distinguishes the board
 tier is its parameters: far lower bandwidth (256 GB/s aggregate next-gen
 NVLink-class vs 768 GB/s *per link* on package) and far higher per-traversal
 latency.  Energy per bit is also ~20x worse (Table 2), which the energy
@@ -10,7 +10,8 @@ model charges separately by tier.
 
 from __future__ import annotations
 
-from .ring import RingNetwork
+from .grid import GraphNetwork
+from .ring import make_ring
 
 #: Aggregate next-generation board-level bandwidth assumed in Section 6.1
 #: (GB/s).  Split across two directions.
@@ -26,19 +27,13 @@ def make_board_interconnect(
     n_gpus: int = 2,
     aggregate_gbps: float = BOARD_AGGREGATE_GBPS,
     hop_latency_cycles: float = BOARD_HOP_LATENCY_CYCLES,
-) -> RingNetwork:
+) -> GraphNetwork:
     """Build the board-level network connecting discrete GPUs.
 
     ``aggregate_gbps`` is the total bidirectional bandwidth between a GPU
-    pair; :class:`~repro.interconnect.ring.RingNetwork` splits it across
-    the two directions.  At the 1 GHz simulation clock, GB/s and
-    bytes/cycle are numerically equal.
+    pair; the ring splits it across the two directions.  At the 1 GHz
+    simulation clock, GB/s and bytes/cycle are numerically equal.
     """
     if n_gpus < 2:
         raise ValueError(f"a multi-GPU board needs at least 2 GPUs, got {n_gpus}")
-    return RingNetwork(
-        n_nodes=n_gpus,
-        link_bandwidth_bytes_per_cycle=aggregate_gbps,
-        hop_latency_cycles=hop_latency_cycles,
-        name="board",
-    )
+    return make_ring(n_gpus, aggregate_gbps, hop_latency_cycles, name="board")

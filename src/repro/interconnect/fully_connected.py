@@ -15,110 +15,37 @@ traffic and half the worst-case latency of a 4-node ring).  The
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
-from .link import REQUEST, RESPONSE, Link
+from .grid import GraphNetwork, WeightedEdge
 
 
-class FullyConnectedNetwork:
-    """Direct links between every pair of nodes.
+def fully_connected_edges(
+    n_nodes: int, link_bandwidth: float, hop_latency: float
+) -> List[WeightedEdge]:
+    """Undirected edge list of the all-to-all fabric (one edge per pair)."""
+    return [
+        (u, v, link_bandwidth, hop_latency)
+        for u in range(n_nodes)
+        for v in range(u + 1, n_nodes)
+    ]
 
-    Implements the same interface as
-    :class:`~repro.interconnect.ring.RingNetwork` so
-    :class:`~repro.core.gpu.GPUSystem` can swap topologies.
 
-    Parameters
-    ----------
-    n_nodes:
-        Number of GPMs.
-    link_bandwidth_bytes_per_cycle:
-        Bandwidth of one link, total across both directions (each
-        direction gets half), matching the ring's convention.
-    hop_latency_cycles:
-        Fixed latency of the single hop.
-    """
-
-    def __init__(
-        self,
-        n_nodes: int,
-        link_bandwidth_bytes_per_cycle: float,
-        hop_latency_cycles: float = 32.0,
-        name: str = "fc",
-    ) -> None:
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-        self.n_nodes = n_nodes
-        self.hop_latency_cycles = hop_latency_cycles
-        self.link_bandwidth = link_bandwidth_bytes_per_cycle
-        self.name = name
-        per_direction = link_bandwidth_bytes_per_cycle / 2.0
-        self._links: Dict[Tuple[int, int], Link] = {}
-        for src in range(n_nodes):
-            for dst in range(n_nodes):
-                if src != dst:
-                    self._links[(src, dst)] = Link(
-                        per_direction,
-                        hop_latency_cycles,
-                        name=f"{name}.{src}->{dst}",
-                    )
-
-    def hops_between(self, src: int, dst: int) -> int:
-        """0 for self, 1 for everything else."""
-        self._check_node(src)
-        self._check_node(dst)
-        return 0 if src == dst else 1
-
-    def route(self, src: int, dst: int) -> List[Link]:
-        """The single direct link (empty for self-transfers)."""
-        self._check_node(src)
-        self._check_node(dst)
-        if src == dst:
-            return []
-        return [self._links[(src, dst)]]
-
-    def transfer(
-        self, now: float, src: int, dst: int, n_bytes: int, channel: str = REQUEST
-    ) -> float:
-        """One-hop transfer; returns the arrival cycle."""
-        self._check_node(src)
-        self._check_node(dst)
-        if src == dst:
-            return now
-        link = self._links[(src, dst)]
-        pipe = link.response_pipe if channel == RESPONSE else link.request_pipe
-        return pipe.transfer(now, n_bytes) + link.latency_cycles
-
-    @property
-    def total_link_bytes(self) -> int:
-        """Aggregate bytes carried across all directed links."""
-        return sum(link.bytes_transferred for link in self._links.values())
-
-    @property
-    def links(self) -> List[Link]:
-        """All directed links (for inspection and tests)."""
-        return list(self._links.values())
-
-    def average_hops_uniform(self) -> float:
-        """Always 1.0 between distinct nodes."""
-        return 0.0 if self.n_nodes == 1 else 1.0
-
-    def diameter(self) -> int:
-        """1 between any distinct pair (0 for a single node)."""
-        return 0 if self.n_nodes == 1 else 1
-
-    def bisection_bandwidth(self) -> float:
-        """Bandwidth across the half-split: one direct link per cross pair."""
-        half = self.n_nodes // 2
-        return half * (self.n_nodes - half) * self.link_bandwidth
-
-    def reset(self) -> None:
-        """Clear all link counters and timing state."""
-        for link in self._links.values():
-            link.reset()
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} out of range for {self.n_nodes}-node network")
+def make_fully_connected(
+    n_nodes: int,
+    link_bandwidth_bytes_per_cycle: float,
+    hop_latency_cycles: float = 32.0,
+    name: str = "fc",
+) -> GraphNetwork:
+    """Build the all-to-all network (each direction gets half a link's
+    bandwidth, matching the ring's convention)."""
+    return GraphNetwork(
+        n_nodes,
+        fully_connected_edges(
+            n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles
+        ),
+        name=name,
+    )
 
 
 def iso_budget_link_bandwidth(ring_setting: float, n_nodes: int) -> float:

@@ -1,15 +1,15 @@
-"""Generic routed-graph network: arbitrary static topologies over links.
+"""Generic routed-graph network: every inter-GPM fabric is one of these.
 
-Mesh, torus, and hierarchical package/board fabrics share everything but
-their edge lists.  :class:`GraphNetwork` takes an undirected weighted
-edge list, builds one directional :class:`~repro.interconnect.link.Link`
-per direction of each edge, and precomputes deterministic shortest-path
-routes (BFS distances, greedy next-hop with lowest-index tie-break).  It
-exposes the same protocol as :class:`~repro.interconnect.ring.RingNetwork`
-— ``route()`` / ``hops_between()`` / ``transfer()`` / ``total_link_bytes``
-/ ``links`` / ``reset()`` — plus the precomputed ``_routes`` table the
-array-backed batch paths and generated walkers key on, so every topology
-built on this class gets the fast engine paths for free.
+Ring, fully-connected, mesh, torus, and hierarchical package/board
+fabrics share everything but their edge lists (and, for the ring, its
+route policy).  :class:`GraphNetwork` takes an undirected weighted edge
+list, builds one directional :class:`~repro.interconnect.link.Link` per
+direction of each edge, and freezes a per-pair route table at
+construction: BFS shortest paths walked greedily with a lowest-index
+tie-break, unless the caller supplies explicit node paths (the ring's
+source-parity antipodal tie-break).  The public ``routes`` table is what
+the array-backed batch paths and the generated walkers key on, so every
+fabric gets the fast engine paths for free.
 
 The module also hosts the pure-graph math (:func:`bfs_distances`,
 :func:`remote_hop_counts`, :func:`graph_diameter`) the topology registry
@@ -18,13 +18,17 @@ uses for its closed-form-free analytical dispatch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .link import REQUEST, RESPONSE, Link
 
 #: One undirected edge: (node u, node v, total bandwidth across both
 #: directions in bytes/cycle, per-hop latency in cycles).
 WeightedEdge = Tuple[int, int, float, float]
+
+#: ``paths[src][dst]``: the node sequence ``(src, ..., dst)`` a message
+#: walks from ``src`` to ``dst``.
+NodePaths = Sequence[Sequence[Sequence[int]]]
 
 
 def bfs_distances(n_nodes: int, edges: Iterable[Tuple[int, int]]) -> List[List[int]]:
@@ -74,7 +78,7 @@ def graph_diameter(distances: Sequence[Sequence[int]]) -> int:
 
 
 class GraphNetwork:
-    """A statically routed network over an arbitrary undirected edge list.
+    """A statically routed network over an undirected edge list.
 
     Parameters
     ----------
@@ -83,13 +87,18 @@ class GraphNetwork:
     edges:
         Undirected :data:`WeightedEdge` list; each entry materializes two
         directional links, one per direction, each granted *half* the
-        edge's total bandwidth (the ring's full-duplex convention).
+        edge's total bandwidth (the paper's per-link GB/s setting is the
+        total across both directions).
     name:
         Prefix for link names (telemetry and debugging).
+    paths:
+        Optional explicit :data:`NodePaths` route table; every path must
+        be a shortest path along edges.  Without it, per-pair shortest
+        paths are walked greedily, preferring the lowest-numbered neighbor
+        that stays on a shortest path.
 
-    Routing is minimal and deterministic: per-pair shortest paths are
-    walked greedily, preferring the lowest-numbered neighbor that stays
-    on a shortest path, and frozen into ``_routes`` at construction.
+    Either way the routes are frozen into ``routes[src][dst]``, a tuple
+    of directional links.
     """
 
     def __init__(
@@ -97,6 +106,7 @@ class GraphNetwork:
         n_nodes: int,
         edges: Sequence[WeightedEdge],
         name: str = "graph",
+        paths: Optional[NodePaths] = None,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
@@ -126,39 +136,51 @@ class GraphNetwork:
                     raise ValueError(
                         f"{name!r} fabric is disconnected: no path {src}->{dst}"
                     )
-        adjacency: List[List[int]] = [[] for _ in range(n_nodes)]
+        if paths is None:
+            paths = self._greedy_paths()
+        # Routes are static; precompute them so the per-transfer hot path
+        # (and the generated walkers) is a tuple walk.
+        self.routes: List[List[Tuple[Link, ...]]] = [
+            [self._path_links(src, dst, paths[src][dst]) for dst in range(n_nodes)]
+            for src in range(n_nodes)
+        ]
+
+    def _greedy_paths(self) -> List[List[List[int]]]:
+        adjacency: List[List[int]] = [[] for _ in range(self.n_nodes)]
         for u, v, _, _ in self.edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
         for neighbors in adjacency:
             neighbors.sort()
-        # Shortest paths are static; precompute them so the per-transfer
-        # hot path (and the generated walkers) is a tuple walk.
-        self._routes: List[List[tuple]] = [
-            [
-                tuple(self._compute_route(src, dst, adjacency))
-                for dst in range(n_nodes)
-            ]
-            for src in range(n_nodes)
-        ]
+        dist = self._dist
+        paths: List[List[List[int]]] = []
+        for src in range(self.n_nodes):
+            row = []
+            for dst in range(self.n_nodes):
+                path = [src]
+                while path[-1] != dst:
+                    node = path[-1]
+                    path.append(
+                        next(
+                            neighbor
+                            for neighbor in adjacency[node]
+                            if dist[neighbor][dst] == dist[node][dst] - 1
+                        )
+                    )
+                row.append(path)
+            paths.append(row)
+        return paths
 
-    def _compute_route(
-        self, src: int, dst: int, adjacency: Sequence[Sequence[int]]
-    ) -> List[Link]:
-        if src == dst:
-            return []
-        path: List[Link] = []
-        node = src
-        while node != dst:
-            target = self._dist[node][dst]
-            step = next(
-                neighbor
-                for neighbor in adjacency[node]
-                if self._dist[neighbor][dst] == target - 1
-            )
-            path.append(self._link_by_pair[(node, step)])
-            node = step
-        return path
+    def _path_links(
+        self, src: int, dst: int, path: Sequence[int]
+    ) -> Tuple[Link, ...]:
+        if (
+            len(path) != self._dist[src][dst] + 1
+            or path[0] != src
+            or path[-1] != dst
+        ):
+            raise ValueError(f"route {list(path)} is not a shortest {src}->{dst} path")
+        return tuple(self._link_by_pair[hop] for hop in zip(path[:-1], path[1:]))
 
     def hops_between(self, src: int, dst: int) -> int:
         """Minimal hop count between two nodes."""
@@ -167,10 +189,10 @@ class GraphNetwork:
         return self._dist[src][dst]
 
     def route(self, src: int, dst: int) -> List[Link]:
-        """Ordered list of directional links on the shortest path."""
+        """Ordered list of directional links on the route."""
         self._check_node(src)
         self._check_node(dst)
-        return list(self._routes[src][dst])
+        return list(self.routes[src][dst])
 
     def transfer(
         self, now: float, src: int, dst: int, n_bytes: int, channel: str = REQUEST
@@ -180,12 +202,15 @@ class GraphNetwork:
         Each hop serializes on its link's ``channel`` virtual channel and
         adds that link's latency; same-node transfers are free.
         """
+        n = self.n_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"nodes {src}->{dst} out of range for {n}-node network")
         time = now
         if channel == RESPONSE:
-            for link in self._routes[src][dst]:
+            for link in self.routes[src][dst]:
                 time = link.response_pipe.transfer(time, n_bytes) + link.latency_cycles
         else:
-            for link in self._routes[src][dst]:
+            for link in self.routes[src][dst]:
                 time = link.request_pipe.transfer(time, n_bytes) + link.latency_cycles
         return time
 
@@ -211,22 +236,6 @@ class GraphNetwork:
     def diameter(self) -> int:
         """Largest shortest-path hop count between any two nodes."""
         return graph_diameter(self._dist)
-
-    def bisection_bandwidth(self) -> float:
-        """Bandwidth across the canonical half-split, both directions.
-
-        The cut separates nodes ``0 .. n//2 - 1`` from the rest; the sum
-        is over the per-direction bandwidth of every directional link
-        crossing it.  For the regular fabrics built on this class the
-        canonical split is a minimum cut, so this is the classical
-        bisection bandwidth.
-        """
-        half = self.n_nodes // 2
-        total = 0.0
-        for u, v, bandwidth, _ in self.edges:
-            if (u < half) != (v < half):
-                total += bandwidth  # both directions, bandwidth/2 each
-        return total
 
     def reset(self) -> None:
         """Clear all link counters and timing state."""

@@ -68,7 +68,7 @@ def make_mesh(
     hop_latency_cycles: float = 32.0,
     name: str = "mesh",
 ) -> GraphNetwork:
-    """Build the mesh network (ring-compatible protocol, walker-ready)."""
+    """Build the mesh network."""
     return GraphNetwork(
         n_nodes,
         mesh_edges(n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles),

@@ -1,202 +1,95 @@
 """On-package ring network connecting GPMs.
 
 The baseline MCM-GPU connects its GPM crossbars into "a modular on-package
-ring or mesh interconnect network" (Section 3.2).  We implement the ring:
-``n`` nodes, a clockwise and a counter-clockwise directional
-:class:`~repro.interconnect.link.Link` between each adjacent pair, and
-minimal (shortest-path) routing.  Each hop charges the link's fixed latency
-plus serialization; multi-hop transfers occupy every link on the path, so a
-message between opposite corners of a 4-GPM ring consumes bandwidth on two
-links — exactly the pass-through pressure the paper's Section 3.3.1 sizing
-analysis accounts for.
+ring or mesh interconnect network" (Section 3.2).  The ring is a
+:class:`~repro.interconnect.grid.GraphNetwork` over ``n`` nodes: one
+undirected edge between each adjacent pair (a clockwise and a
+counter-clockwise directional link) and minimal routing.  Each hop charges
+the link's fixed latency plus serialization; multi-hop transfers occupy
+every link on the path, so a message between opposite corners of a 4-GPM
+ring consumes bandwidth on two links — exactly the pass-through pressure
+the paper's Section 3.3.1 sizing analysis accounts for.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from .link import REQUEST, RESPONSE, Link
-
-#: Direction constants for link indexing.
-CLOCKWISE = 0
-COUNTER_CLOCKWISE = 1
+from .grid import GraphNetwork, WeightedEdge
 
 
-class RingNetwork:
-    """A bidirectional ring of point-to-point links.
+def ring_edges(
+    nodes: Sequence[int], link_bandwidth: float, hop_latency: float
+) -> List[WeightedEdge]:
+    """Undirected edges of a ring over an ordered node sequence.
 
-    Parameters
-    ----------
-    n_nodes:
-        Number of GPMs on the ring.  A single-node ring is legal and carries
-        no traffic (used for monolithic-GPU configurations).
-    link_bandwidth_bytes_per_cycle:
-        Bandwidth of one link, *total across both directions* — the
-        quantity the paper sweeps ("768 GB/s per link").  Each direction
-        gets half.  This calibration reproduces the paper's Section 3.3.1
-        sizing: a 4-GPM ring at setting ``s`` offers each GPM ``2s`` of
-        aggregate port bandwidth, so the 3 TB/s (``4b``) per-GPM demand is
-        met exactly at the 1.5 TB/s setting and the 768 GB/s baseline runs
-        ~2x short — the Figure 4 degradation regime.
-    hop_latency_cycles:
-        Fixed latency charged per hop (32 cycles in Table 3).
+    One node has no edges.  Two nodes share a single physical link pair,
+    not two parallel pairs of which routing could only ever use one
+    (stranding half the modeled bandwidth).
     """
+    count = len(nodes)
+    if count < 2:
+        return []
+    if count == 2:
+        return [(nodes[0], nodes[1], link_bandwidth, hop_latency)]
+    return [
+        (nodes[i], nodes[(i + 1) % count], link_bandwidth, hop_latency)
+        for i in range(count)
+    ]
 
-    def __init__(
-        self,
-        n_nodes: int,
-        link_bandwidth_bytes_per_cycle: float,
-        hop_latency_cycles: float = 32.0,
-        name: str = "ring",
-    ) -> None:
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-        self.n_nodes = n_nodes
-        self.hop_latency_cycles = hop_latency_cycles
-        self.name = name
-        # links[i][CLOCKWISE] goes i -> (i+1) % n; links[i][COUNTER_CLOCKWISE]
-        # goes i -> (i-1) % n.
-        self.link_bandwidth = link_bandwidth_bytes_per_cycle
-        per_direction = link_bandwidth_bytes_per_cycle / 2.0
-        self._links: List[Tuple[Link, Link]] = []
-        if n_nodes == 2:
-            # Degenerate ring: two nodes share ONE physical link pair
-            # (forward 0->1, backward 1->0), matching the 2-port claim of
-            # the analytical model.  Building the general ring here would
-            # create two parallel pairs of which routing can only ever use
-            # one, silently stranding half the modeled link bandwidth
-            # (rev-8 fix).
-            forward = Link(per_direction, hop_latency_cycles, name=f"{name}.0->1")
-            backward = Link(per_direction, hop_latency_cycles, name=f"{name}.1->0")
-            self._links.append((forward, backward))
-        elif n_nodes > 1:
-            for node in range(n_nodes):
-                clockwise = Link(
-                    per_direction,
-                    hop_latency_cycles,
-                    name=f"{name}.{node}->{(node + 1) % n_nodes}",
+
+def ring_paths(n_nodes: int) -> List[List[Tuple[int, ...]]]:
+    """Minimal node paths of an ``n``-node ring, ``paths[src][dst]``.
+
+    Antipodal pairs on an even ring have no shortest direction; the tie is
+    broken by source parity (even sources go clockwise, odd ones
+    counter-clockwise) so opposite-corner traffic from different sources
+    spreads over both directions instead of piling onto the clockwise half
+    while the counter-clockwise links idle.
+    """
+    paths = []
+    for src in range(n_nodes):
+        row = []
+        for dst in range(n_nodes):
+            clockwise_hops = (dst - src) % n_nodes
+            counter_hops = (n_nodes - clockwise_hops) % n_nodes
+            if clockwise_hops < counter_hops or (
+                clockwise_hops == counter_hops and src % 2 == 0
+            ):
+                row.append(
+                    tuple((src + i) % n_nodes for i in range(clockwise_hops + 1))
                 )
-                counter = Link(
-                    per_direction,
-                    hop_latency_cycles,
-                    name=f"{name}.{node}->{(node - 1) % n_nodes}",
+            else:
+                row.append(
+                    tuple((src - i) % n_nodes for i in range(counter_hops + 1))
                 )
-                self._links.append((clockwise, counter))
-        # Shortest paths are static; precompute them so the per-transfer
-        # hot path is a tuple walk instead of route construction.
-        self._routes: List[List[tuple]] = [
-            [tuple(self._compute_route(src, dst)) for dst in range(n_nodes)]
-            for src in range(n_nodes)
-        ]
+        paths.append(row)
+    return paths
 
-    def hops_between(self, src: int, dst: int) -> int:
-        """Minimal hop count between two nodes."""
-        self._check_node(src)
-        self._check_node(dst)
-        clockwise = (dst - src) % self.n_nodes
-        return min(clockwise, self.n_nodes - clockwise)
 
-    def route(self, src: int, dst: int) -> List[Link]:
-        """Ordered list of directional links on the shortest path."""
-        self._check_node(src)
-        self._check_node(dst)
-        return list(self._routes[src][dst])
+def make_ring(
+    n_nodes: int,
+    link_bandwidth_bytes_per_cycle: float,
+    hop_latency_cycles: float = 32.0,
+    name: str = "ring",
+) -> GraphNetwork:
+    """Build the ring network.
 
-    def _compute_route(self, src: int, dst: int) -> List[Link]:
-        if src == dst or self.n_nodes == 1:
-            return []
-        if self.n_nodes == 2:
-            # Single physical pair: forward carries 0->1, backward 1->0.
-            pair = self._links[0]
-            return [pair[CLOCKWISE] if src == 0 else pair[COUNTER_CLOCKWISE]]
-        clockwise_hops = (dst - src) % self.n_nodes
-        counter_hops = self.n_nodes - clockwise_hops
-        path: List[Link] = []
-        node = src
-        # Antipodal pairs on an even ring have no shortest direction; break
-        # the tie by source parity so opposite-corner traffic from different
-        # sources spreads over both directions instead of piling onto the
-        # clockwise half while the counter-clockwise links idle.
-        if clockwise_hops < counter_hops or (
-            clockwise_hops == counter_hops and src % 2 == 0
-        ):
-            for _ in range(clockwise_hops):
-                path.append(self._links[node][CLOCKWISE])
-                node = (node + 1) % self.n_nodes
-        else:
-            for _ in range(counter_hops):
-                path.append(self._links[node][COUNTER_CLOCKWISE])
-                node = (node - 1) % self.n_nodes
-        return path
-
-    def transfer(
-        self, now: float, src: int, dst: int, n_bytes: int, channel: str = REQUEST
-    ) -> float:
-        """Move ``n_bytes`` from ``src`` to ``dst``; returns arrival cycle.
-
-        Each hop serializes on its link's ``channel`` virtual channel and
-        adds the hop latency.  Transfers between the same node return
-        immediately (intra-GPM traffic never reaches the ring).
-        """
-        time = now
-        if channel == RESPONSE:
-            for link in self._routes[src][dst]:
-                time = link.response_pipe.transfer(time, n_bytes) + link.latency_cycles
-        else:
-            for link in self._routes[src][dst]:
-                time = link.request_pipe.transfer(time, n_bytes) + link.latency_cycles
-        return time
-
-    @property
-    def total_link_bytes(self) -> int:
-        """Aggregate bytes carried, counting each hop traversed.
-
-        This is the quantity the paper plots as "inter-GPM bandwidth": total
-        on-package link traffic divided by execution time.
-        """
-        return sum(
-            clockwise.bytes_transferred + counter.bytes_transferred
-            for clockwise, counter in self._links
-        )
-
-    @property
-    def links(self) -> List[Link]:
-        """All directional links (for inspection and tests)."""
-        return [link for pair in self._links for link in pair]
-
-    def average_hops_uniform(self) -> float:
-        """Mean shortest-path hop count over distinct uniformly random pairs."""
-        if self.n_nodes == 1:
-            return 0.0
-        total = sum(
-            self.hops_between(src, dst)
-            for src in range(self.n_nodes)
-            for dst in range(self.n_nodes)
-            if src != dst
-        )
-        return total / (self.n_nodes * (self.n_nodes - 1))
-
-    def diameter(self) -> int:
-        """Largest shortest-path hop count between any two nodes."""
-        return self.n_nodes // 2
-
-    def bisection_bandwidth(self) -> float:
-        """Bandwidth across the half-split, both directions.
-
-        Splitting a ring in half cuts two links (one for the degenerate
-        two-node ring, which has a single physical pair).
-        """
-        if self.n_nodes <= 1:
-            return 0.0
-        if self.n_nodes == 2:
-            return self.link_bandwidth
-        return 2.0 * self.link_bandwidth
-
-    def reset(self) -> None:
-        """Clear all link counters and timing state."""
-        for link in self.links:
-            link.reset()
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} out of range for {self.n_nodes}-node ring")
+    ``link_bandwidth_bytes_per_cycle`` is the bandwidth of one link, *total
+    across both directions* — the quantity the paper sweeps ("768 GB/s per
+    link"); each direction gets half.  This calibration reproduces the
+    paper's Section 3.3.1 sizing: a 4-GPM ring at setting ``s`` offers each
+    GPM ``2s`` of aggregate port bandwidth, so the 3 TB/s (``4b``) per-GPM
+    demand is met exactly at the 1.5 TB/s setting and the 768 GB/s
+    baseline runs ~2x short — the Figure 4 degradation regime.  A
+    single-node ring is legal and carries no traffic (monolithic-GPU
+    configurations).
+    """
+    return GraphNetwork(
+        n_nodes,
+        ring_edges(
+            range(n_nodes), link_bandwidth_bytes_per_cycle, hop_latency_cycles
+        ),
+        name=name,
+        paths=ring_paths(n_nodes),
+    )

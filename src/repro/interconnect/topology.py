@@ -1,6 +1,7 @@
 """Topology registry: one place that knows every inter-GPM fabric.
 
-Every registered topology supplies two things:
+Every registered topology supplies two things, both living next to each
+other in the fabric's own module:
 
 * an **edge builder** — ``(n_nodes, link_bandwidth, hop_latency) ->``
   undirected weighted edge list — from which all analytical quantities
@@ -8,12 +9,10 @@ Every registered topology supplies two things:
   totals) are derived generically by BFS, with no per-topology closed
   forms to keep in sync;
 * a **network factory** — ``(n_nodes, link_bandwidth, hop_latency) ->``
-  a network object implementing the ring protocol (``route`` /
-  ``hops_between`` / ``transfer`` / ``total_link_bytes`` / ``links`` /
-  ``reset`` plus the precomputed ``_routes`` the fast engine paths key
-  on).  ``ring`` and ``fully_connected`` keep their dedicated classes
-  (bit-identical timing with pre-registry code); mesh/torus/hierarchical
-  build on :class:`~repro.interconnect.grid.GraphNetwork`.
+  a :class:`~repro.interconnect.grid.GraphNetwork` over those edges,
+  whose public ``routes`` table the fast engine paths key on.  The ring
+  supplies its own parity tie-broken node paths; every other fabric
+  takes the greedy lowest-index shortest paths.
 
 ``core.config`` validates ``SystemConfig.topology`` against this
 registry, ``core.gpu`` builds fabrics through :func:`build_network`, and
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
-from .fully_connected import FullyConnectedNetwork
+from .fully_connected import fully_connected_edges, make_fully_connected
 from .grid import (
     GraphNetwork,
     WeightedEdge,
@@ -38,41 +37,11 @@ from .grid import (
 )
 from .hierarchical import hierarchical_edges, make_hierarchical
 from .mesh import mesh_edges, make_mesh
-from .ring import RingNetwork
+from .ring import make_ring, ring_edges
 from .torus import make_torus, torus_edges
 
 EdgeBuilder = Callable[[int, float, float], List[WeightedEdge]]
-NetworkFactory = Callable[[int, float, float], object]
-
-
-def ring_edges(
-    n_nodes: int, link_bandwidth: float, hop_latency: float
-) -> List[WeightedEdge]:
-    """Undirected edge list of the paper's baseline ring.
-
-    The two-node case has a single physical link pair (matching the
-    collapsed :class:`~repro.interconnect.ring.RingNetwork` degenerate
-    form), not two parallel pairs.
-    """
-    if n_nodes < 2:
-        return []
-    if n_nodes == 2:
-        return [(0, 1, link_bandwidth, hop_latency)]
-    return [
-        (node, (node + 1) % n_nodes, link_bandwidth, hop_latency)
-        for node in range(n_nodes)
-    ]
-
-
-def fully_connected_edges(
-    n_nodes: int, link_bandwidth: float, hop_latency: float
-) -> List[WeightedEdge]:
-    """Undirected edge list of the all-to-all fabric (one edge per pair)."""
-    return [
-        (u, v, link_bandwidth, hop_latency)
-        for u in range(n_nodes)
-        for v in range(u + 1, n_nodes)
-    ]
+NetworkFactory = Callable[[int, float, float], GraphNetwork]
 
 
 @dataclass(frozen=True)
@@ -85,26 +54,20 @@ class TopologyDescriptor:
     network_factory: NetworkFactory
 
 
-def _ring_factory(n: int, bandwidth: float, latency: float) -> RingNetwork:
-    return RingNetwork(n, bandwidth, latency)
-
-
-def _fc_factory(n: int, bandwidth: float, latency: float) -> FullyConnectedNetwork:
-    return FullyConnectedNetwork(n, bandwidth, latency)
-
-
 _REGISTRY: Dict[str, TopologyDescriptor] = {
     "ring": TopologyDescriptor(
         name="ring",
         description="bidirectional ring (paper baseline, Section 3.2)",
-        edge_builder=ring_edges,
-        network_factory=_ring_factory,
+        edge_builder=lambda n, bandwidth, latency: ring_edges(
+            range(n), bandwidth, latency
+        ),
+        network_factory=make_ring,
     ),
     "fully_connected": TopologyDescriptor(
         name="fully_connected",
         description="direct link between every GPM pair",
         edge_builder=fully_connected_edges,
-        network_factory=_fc_factory,
+        network_factory=make_fully_connected,
     ),
     "mesh": TopologyDescriptor(
         name="mesh",
@@ -148,8 +111,8 @@ def build_network(
     n_nodes: int,
     link_bandwidth_bytes_per_cycle: float,
     hop_latency_cycles: float,
-):
-    """Construct the network object for a topology (ring protocol)."""
+) -> GraphNetwork:
+    """Construct the network for a registered topology."""
     descriptor = get_topology(topology)
     return descriptor.network_factory(
         n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles

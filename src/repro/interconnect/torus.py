@@ -52,7 +52,7 @@ def make_torus(
     hop_latency_cycles: float = 32.0,
     name: str = "torus",
 ) -> GraphNetwork:
-    """Build the torus network (ring-compatible protocol, walker-ready)."""
+    """Build the torus network."""
     return GraphNetwork(
         n_nodes,
         torus_edges(n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles),

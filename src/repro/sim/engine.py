@@ -53,7 +53,7 @@ class _CTA:
 class _WarpGroup:
     """One schedulable warp group walking its record list.
 
-    ``walk`` is the SM's fused memory walker when the array-backed fast
+    ``walk`` is the SM's generated memory walker when the array-backed fast
     path is active (records are then geometry-specialized 4-tuples), or
     ``None`` when the group carries classic :class:`TraceRecord` lists.
     """
@@ -167,7 +167,7 @@ class SimulationEngine:
         #: exists so the identity suite can diff them.
         self.batched = not _perline_requested()
         # Array-backed fast-path state: the geometry traces are
-        # specialized against and the per-SM fused walkers (None outside
+        # specialized against and the per-SM generated walkers (None outside
         # the fast path / for migrating placement).  ``_fast_cache``
         # holds the one-time (walkers, geometry) build for this system.
         self._geometry = None
@@ -195,7 +195,7 @@ class SimulationEngine:
             inf if telemetry is None else telemetry.begin_run(self.system, workload.name)
         )
 
-        # Array-backed fast path: fused per-SM walkers over geometry-
+        # Array-backed fast path: generated per-SM walkers over geometry-
         # specialized records.  Built once per engine and reused across
         # runs — every object a walker binds (cache sets, stats, pipes,
         # page maps, routes) is reset in place by ``system.reset()``.

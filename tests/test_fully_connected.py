@@ -4,20 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.interconnect.fully_connected import (
-    FullyConnectedNetwork,
-    iso_budget_link_bandwidth,
-)
+from repro.interconnect.fully_connected import iso_budget_link_bandwidth
+from repro.interconnect.grid import GraphNetwork
 from repro.interconnect.link import REQUEST, RESPONSE
+from repro.interconnect.topology import build_network
+
+
+def fully_connected(n_nodes, bandwidth=768.0, hop_latency=32.0):
+    return build_network("fully_connected", n_nodes, bandwidth, hop_latency)
 
 
 class TestTopology:
     def test_link_count(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = fully_connected(4)
         assert len(network.links) == 12  # n*(n-1) directed links
 
     def test_single_hop_everywhere(self):
-        network = FullyConnectedNetwork(6, 768.0)
+        network = fully_connected(6)
         for src in range(6):
             for dst in range(6):
                 expected = 0 if src == dst else 1
@@ -25,34 +28,34 @@ class TestTopology:
                 assert len(network.route(src, dst)) == expected
 
     def test_average_hops(self):
-        assert FullyConnectedNetwork(4, 768.0).average_hops_uniform() == 1.0
-        assert FullyConnectedNetwork(1, 768.0).average_hops_uniform() == 0.0
+        assert fully_connected(4).average_hops_uniform() == 1.0
+        assert fully_connected(1).average_hops_uniform() == 0.0
 
     def test_out_of_range(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = fully_connected(4)
         with pytest.raises(ValueError, match="out of range"):
             network.transfer(0.0, 0, 4, 128)
 
 
 class TestTiming:
     def test_transfer_single_hop_latency(self):
-        network = FullyConnectedNetwork(4, 768.0, hop_latency_cycles=32.0)
+        network = fully_connected(4)
         arrival = network.transfer(0.0, 0, 2, 128)
         # One hop even between "opposite" nodes: serialization + 32.
         assert 32.0 < arrival < 40.0
 
     def test_per_direction_bandwidth_is_half(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = fully_connected(4)
         assert network.links[0].request_pipe.bytes_per_cycle == pytest.approx(384.0)
 
     def test_channels_independent(self):
-        network = FullyConnectedNetwork(2, 2.0, hop_latency_cycles=0.0)
+        network = fully_connected(2, 2.0, 0.0)
         network.transfer(0.0, 0, 1, 10_000, REQUEST)
         prompt = network.transfer(0.0, 0, 1, 1, RESPONSE)
         assert prompt < 100.0
 
     def test_accounting_and_reset(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = fully_connected(4)
         network.transfer(0.0, 0, 1, 100)
         network.transfer(0.0, 2, 3, 50)
         assert network.total_link_bytes == 150
@@ -60,7 +63,7 @@ class TestTiming:
         assert network.total_link_bytes == 0
 
     def test_self_transfer_free(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = fully_connected(4)
         assert network.transfer(9.0, 1, 1, 4096) == 9.0
 
 
@@ -92,7 +95,7 @@ class TestIsoBudget:
 )
 def test_fc_accounting_matches_bytes(n_nodes, transfers):
     """Property: total link bytes == sum of distinct-pair transfer sizes."""
-    network = FullyConnectedNetwork(n_nodes, 768.0)
+    network = fully_connected(n_nodes)
     expected = 0
     for src, dst, size in transfers:
         src %= n_nodes
@@ -114,7 +117,9 @@ class TestSystemIntegration:
             baseline_mcm_gpu(name="fc"), topology="fully_connected"
         )
         system = build_system(config)
-        assert isinstance(system.ring, FullyConnectedNetwork)
+        assert isinstance(system.ring, GraphNetwork)
+        assert len(system.ring.links) == 12
+        assert all(link.name.startswith("fc.") for link in system.ring.links)
 
     def test_config_rejects_unknown_topology(self):
         from dataclasses import replace
@@ -126,9 +131,8 @@ class TestSystemIntegration:
             replace(baseline_mcm_gpu(name="bad"), topology="hypercube")
 
     def test_fc_topology_simulates_end_to_end(self):
-        # Regression: the specialized walker generator assumed a ring's
-        # precomputed routes and crashed on all-to-all systems instead of
-        # falling back to the generic walker.
+        # Regression: the specialized walker generator once assumed a
+        # ring's precomputed routes and crashed on all-to-all systems.
         from dataclasses import replace
 
         from repro.core.presets import baseline_mcm_gpu

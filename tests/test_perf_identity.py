@@ -16,7 +16,7 @@ Three contracts:
    and the reported hit *rates* are load-only (the Figure 6/7 quantity).
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -33,7 +33,14 @@ from repro.validate.invariants import check_result
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 
 
-def tiny_workload(name="pi-w", pattern="streaming", write_fraction=0.25, iterations=2):
+def tiny_workload(
+    name="pi-w",
+    pattern="streaming",
+    write_fraction=0.25,
+    iterations=2,
+    accesses_per_record=4,
+    footprint_bytes=256 * 1024,
+):
     return SyntheticWorkload(
         WorkloadSpec(
             name=name,
@@ -42,11 +49,19 @@ def tiny_workload(name="pi-w", pattern="streaming", write_fraction=0.25, iterati
             n_ctas=32,
             groups_per_cta=2,
             records_per_group=3,
-            accesses_per_record=4,
+            accesses_per_record=accesses_per_record,
             write_fraction=write_fraction,
             kernel_iterations=iterations,
-            footprint_bytes=256 * 1024,
+            footprint_bytes=footprint_bytes,
         )
+    )
+
+
+def dense_stream():
+    """Streaming over a small footprint: enough consecutive remote
+    accesses per page to trigger migrating-first-touch page moves."""
+    return tiny_workload(
+        "pi-dense", "streaming", accesses_per_record=16, footprint_bytes=64 * 1024
     )
 
 
@@ -71,6 +86,28 @@ CONFIG_MAKERS = [
     ),
     pytest.param(lambda: monolithic_gpu(n_sms=32), id="monolithic"),
     pytest.param(lambda: multi_gpu(optimized=False, sms_per_gpu=2), id="multi-gpu"),
+    pytest.param(
+        lambda: replace(
+            baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2), topology="fully_connected"
+        ),
+        id="fully-connected-4",
+    ),
+    *(
+        pytest.param(
+            lambda topology=topology: replace(
+                baseline_mcm_gpu(n_gpms=8, sms_per_gpm=2), topology=topology
+            ),
+            id=f"{topology}-8",
+        )
+        for topology in ("mesh", "torus", "hierarchical")
+    ),
+    pytest.param(
+        lambda: replace(
+            baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2),
+            placement="migrating_first_touch",
+        ),
+        id="migrating-first-touch",
+    ),
 ]
 
 WORKLOAD_MAKERS = [
@@ -81,6 +118,7 @@ WORKLOAD_MAKERS = [
         lambda: tiny_workload("pi-nostore", "streaming", write_fraction=0.0),
         id="no-stores",
     ),
+    pytest.param(dense_stream, id="dense-stream"),
 ]
 
 
@@ -98,6 +136,27 @@ class TestBatchedPerLineIdentity:
                 f"field {name!r} differs: batched={batched_fields[name]!r} "
                 f"per-line={perline_fields[name]!r}"
             )
+
+    @pytest.mark.parametrize("make_config", CONFIG_MAKERS)
+    def test_fast_path_choice(self, make_config):
+        # Every fabric takes the generated walkers; migrating placement
+        # keeps load_batch/store_batch (no walkers).
+        config = make_config()
+        memsys = Simulator(config).system.memsys
+        walkers = memsys.make_walkers()
+        migrating = config.placement.startswith("migrating")
+        assert (walkers is None) == migrating
+
+    def test_migrating_row_moves_pages(self):
+        # Keeps the migrating-placement identity rows honest: without
+        # migrations they would never exercise the page-copy charges.
+        config = replace(
+            baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2),
+            placement="migrating_first_touch",
+        )
+        simulator = Simulator(config)
+        simulator.run(dense_stream())
+        assert simulator.system.memsys.migration_bytes > 0
 
     def test_general_loop_with_probe_matches_fast_loop(self):
         # Telemetry forces the general drain loop; results must not move.

@@ -9,7 +9,6 @@ from repro.interconnect.grid import GraphNetwork
 from repro.interconnect.hierarchical import PACKAGE_SIZE, make_hierarchical
 from repro.interconnect.link import REQUEST, RESPONSE
 from repro.interconnect.mesh import grid_dims
-from repro.interconnect.ring import RingNetwork
 from repro.interconnect.topology import (
     average_hops,
     bisection_bandwidth,
@@ -42,9 +41,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown topology"):
             replace(baseline_mcm_gpu(), topology="hypercube")
 
-    def test_factories_build_the_dedicated_classes(self):
-        assert isinstance(build_network("ring", 4, 768.0, 32.0), RingNetwork)
-        assert isinstance(build_network("mesh", 8, 768.0, 32.0), GraphNetwork)
+    def test_factories_build_graph_networks(self):
+        for topology in ALL_TOPOLOGIES:
+            network = build_network(topology, 8, 768.0, 32.0)
+            assert isinstance(network, GraphNetwork)
+            assert network.n_nodes == 8
 
     def test_analytical_queries_reject_unknown_topology(self):
         for query in (average_hops, link_count, mean_ports, diameter):
@@ -59,13 +60,13 @@ class TestTwoNodeRingRegression:
     single physical pair, consistent with its 2-port analytical claim."""
 
     def test_two_node_ring_has_exactly_one_link_pair(self):
-        ring = RingNetwork(2, 768.0)
+        ring = build_network("ring", 2, 768.0, 32.0)
         assert len(ring.links) == 2  # one directional link each way
 
     def test_no_link_is_stranded_under_symmetric_load(self):
         # Pre-fix this failed: 4 directional links existed and the
         # route tables only ever used one per direction.
-        ring = RingNetwork(2, 768.0)
+        ring = build_network("ring", 2, 768.0, 32.0)
         ring.transfer(0.0, 0, 1, 128, REQUEST)
         ring.transfer(0.0, 1, 0, 128, REQUEST)
         ring.transfer(0.0, 0, 1, 64, RESPONSE)
@@ -76,14 +77,14 @@ class TestTwoNodeRingRegression:
     def test_directions_do_not_share_a_pipe(self):
         # Each direction still gets its own physical link at half the
         # setting — the collapse removes idle hardware, not capacity.
-        ring = RingNetwork(2, 768.0)
+        ring = build_network("ring", 2, 768.0, 32.0)
         assert ring.links[0].request_pipe.bytes_per_cycle == pytest.approx(384.0)
         ring.transfer(0.0, 0, 1, 1 << 20, REQUEST)
         prompt = ring.transfer(0.0, 1, 0, 128, REQUEST)
         assert prompt < 100.0  # reverse direction unaffected by the backlog
 
     def test_two_node_routes_are_single_hop(self):
-        ring = RingNetwork(2, 768.0)
+        ring = build_network("ring", 2, 768.0, 32.0)
         assert ring.hops_between(0, 1) == 1
         assert ring.hops_between(1, 0) == 1
         assert ring.route(0, 1) != ring.route(1, 0)
@@ -121,6 +122,17 @@ class TestConservationAcrossRegistry:
         network = build_network(topology, n_nodes, 768.0, 32.0)
         network.transfer(0.0, 0, n_nodes - 1, 128)
         network.reset()
+        assert network.total_link_bytes == 0
+
+    def test_out_of_range_node_ids_raise(self, topology, n_nodes):
+        # A negative id must not wrap around to node n-1, and one past the
+        # end must fail the same way instead of with an IndexError.
+        network = build_network(topology, n_nodes, 768.0, 32.0)
+        for src, dst in ((-1, 0), (0, -1), (n_nodes, 0), (0, n_nodes)):
+            with pytest.raises(ValueError, match="out of range"):
+                network.transfer(0.0, src, dst, 128)
+            with pytest.raises(ValueError, match="out of range"):
+                network.route(src, dst)
         assert network.total_link_bytes == 0
 
 
