@@ -67,6 +67,7 @@ class MemorySystem:
         # Deferred-counter flush hooks installed by make_walkers(); empty
         # whenever the walker fast path is not in use.
         self._walker_flushes: list = []
+        self._walk_geometry = None
 
     # ------------------------------------------------------------------
     # public API used by the simulation engine
@@ -367,13 +368,13 @@ class MemorySystem:
     # array-backed fast path (per-SM generated walkers)
     # ------------------------------------------------------------------
     #
-    # A walker consumes geometry-specialized records — read/write lists
-    # of (line, l1_set, home_key, ...) tuples precomputed by whole-column
-    # numpy ops in ColumnarCTATrace.fast_groups — and walks one record's
-    # memory batch in a single closure generated by repro.core.walkgen:
-    # L1/L1.5/L2 dict mutations, homing resolution from the precomputed
-    # key, and pipe charges along the fabric's routes.  Same line order,
-    # same state mutations, same charge times as per-line load()/store();
+    # A walker consumes fast records — plain read/write line tuples with
+    # the issue busy time pre-divided (ColumnarCTATrace.fast_groups) — and
+    # walks one record's memory batch in a single closure generated by
+    # repro.core.walkgen: L1/L1.5/L2 dict mutations, homing resolution, and
+    # pipe charges along the fabric's routes, with set indices and homes
+    # derived from each line inline.  Same line order, same state
+    # mutations, same charge times as per-line load()/store();
     # the only reorderings are (a) pure-count counters accumulated in cells
     # and flushed at kernel boundaries (nothing reads them mid-kernel) and
     # (b) a record's *local* DRAM line charges collapsed into one
@@ -383,31 +384,20 @@ class MemorySystem:
     # tests/test_perf_identity.py pins bit-identity across the matrix.
 
     def walk_geometry(self, packed: bool = True) -> "WalkGeometry":
-        """The :class:`WalkGeometry` traces are specialized against."""
-        from ..workloads.trace import WalkGeometry
+        """The :class:`WalkGeometry` traces are specialized against.
 
-        page_table = self._page_table
-        policy = page_table.policy
-        gpms = self._gpms
-        sm0 = gpms[0].sms[0]
-        # L2/L1.5 set indices are precomputable only when the level has one
-        # set count across every GPM (0 = walkers derive the index).
-        l2_counts = {gpm.l2.n_sets for gpm in gpms}
-        n_l2_sets = l2_counts.pop() if len(l2_counts) == 1 else 0
-        l15_counts = {
-            gpm.l15.n_sets if gpm.has_l15 else 0 for gpm in gpms
-        }
-        n_l15_sets = l15_counts.pop() if len(l15_counts) == 1 else 0
-        return WalkGeometry(
-            packed=packed,
-            n_l1_sets=sm0.l1.n_sets if packed else 0,
-            line_interleaved=page_table._line_interleaved if packed else False,
-            n_partitions=policy.n_partitions if packed else 0,
-            lines_per_page=page_table.address_map.lines_per_page if packed else 0,
-            issue_throughput=sm0.issue_throughput,
-            n_l2_sets=n_l2_sets if packed else 0,
-            n_l15_sets=n_l15_sets if packed else 0,
-        )
+        Built once per memory system.  ``packed`` (walker vs
+        ``load_batch``/``store_batch`` path) no longer changes the result:
+        both paths consume the same fast records.
+        """
+        geometry = self._walk_geometry
+        if geometry is None:
+            from ..workloads.trace import WalkGeometry
+
+            geometry = self._walk_geometry = WalkGeometry(
+                self._gpms[0].sms[0].issue_throughput
+            )
+        return geometry
 
     def make_walkers(self):
         """Build per-SM ``(walk, walk_unique)`` pairs, or ``None``.

@@ -54,16 +54,13 @@ _CODE_CACHE: Dict[str, object] = {}
 class _GpmCodegen:
     """Emits one GPM's ``_factory(sm, ctx) -> (walk, walk_u, flush)``."""
 
-    def __init__(self, memsys, gpm_id, pipe_cells, uniform_l2, uniform_l15,
-                 line_bytes, header_bytes):
+    def __init__(self, memsys, gpm_id, pipe_cells, line_bytes, header_bytes):
         self.memsys = memsys
         self.gpms = memsys._gpms
         self.n = len(self.gpms)
         self.gid = gpm_id
         self.gpm = self.gpms[gpm_id]
         self.pipe_cells = pipe_cells
-        self.uniform_l2 = uniform_l2
-        self.uniform_l15 = uniform_l15
         self.request_bytes = header_bytes
         self.response_bytes = line_bytes + header_bytes
         self.store_bytes = line_bytes + header_bytes
@@ -78,9 +75,12 @@ class _GpmCodegen:
         page_table = memsys._page_table
         policy = page_table.policy
         self.interleaved = page_table._line_interleaved
+        self.n_partitions = policy.n_partitions
+        self.lines_per_page = page_table.address_map.lines_per_page
         self.partition_of_page = policy.partition_of_page
-        page_map = getattr(policy, "_page_map", None)
-        self.page_map_get = page_map.get if page_map is not None else None
+        # Walkers exist only for non-migrating placement, and every paged
+        # one keeps its page -> partition dict.
+        self.page_map_get = None if self.interleaved else policy._page_map.get
 
         gpm = self.gpm
         # Every SM of a GPM is built from the same SMConfig, so SM 0's L1
@@ -144,17 +144,15 @@ class _GpmCodegen:
         self._pipe_names[id(pipe)] = names
         return names
 
+    # Set counts and homing divisors are bound, not inlined: capacity and
+    # page-size sweeps then regenerate identical source and share one
+    # compiled factory in _CODE_CACHE.
+
     def l2_set_expr(self, home: int) -> str:
-        n_sets = self.gpms[home].l2.n_sets
-        if self.uniform_l2 and self.uniform_l2 == n_sets:
-            return "trip[3]"
-        return f"line % {n_sets}"
+        return f"line % {self.bind(f'_N2_{home}', self.gpms[home].l2.n_sets)}"
 
     def l15_set_expr(self) -> str:
-        n_sets = self.l15.n_sets
-        if self.uniform_l15 and self.uniform_l15 == n_sets:
-            return "trip[4]"
-        return f"line % {n_sets}"
+        return f"line % {self.bind('_N15', self.l15.n_sets)}"
 
     # -- charge emission -------------------------------------------------
 
@@ -224,16 +222,18 @@ class _GpmCodegen:
 
     def _emit_home(self, out, ind):
         if self.interleaved:
-            out.append(_ind(ind, "home = trip[2]"))
-        elif self.page_map_get is not None:
-            g = self.bind("_PMG", self.page_map_get)
-            p = self.bind("_POP", self.partition_of_page)
-            out.append(_ind(ind, f"home = {g}(trip[2])"))
-            out.append(_ind(ind, "if home is None:"))
-            out.append(_ind(ind + 1, f"home = {p}(trip[2], {self.gid})"))
-        else:
-            p = self.bind("_POP", self.partition_of_page)
-            out.append(_ind(ind, f"home = {p}(trip[2], {self.gid})"))
+            n = self.bind("_NP", self.n_partitions)
+            out.append(_ind(ind, f"home = line % {n}"))
+            return
+        lpp = self.bind("_LPP", self.lines_per_page)
+        g = self.bind("_PMG", self.page_map_get)
+        p = self.bind("_POP", self.partition_of_page)
+        out += [
+            _ind(ind, f"_pg = line // {lpp}"),
+            _ind(ind, f"home = {g}(_pg)"),
+            _ind(ind, "if home is None:"),
+            _ind(ind + 1, f"home = {p}(_pg, {self.gid})"),
+        ]
 
     def _emit_l15_read(self, out, ind, unique, penalized):
         """L1.5 probe on the read path; miss falls through with ``_t`` set."""
@@ -464,11 +464,11 @@ class _GpmCodegen:
             out.append(_ind(3, "c_l1m += len(reads)"))
             iterable = "reads"
         else:
+            n1 = self.bind("_N1", self.l1_n_sets)
             out += [
                 _ind(3, "misses = None"),
-                _ind(3, "for trip in reads:"),
-                _ind(4, "line = trip[0]"),
-                _ind(4, "_cs = l1_sets[trip[1]]"),
+                _ind(3, "for line in reads:"),
+                _ind(4, f"_cs = l1_sets[line % {n1}]"),
                 _ind(4, "_d = _cs.pop(line, None)"),
                 _ind(4, "if _d is not None:"),
                 _ind(5, "c_l1h += 1"),
@@ -480,9 +480,9 @@ class _GpmCodegen:
                 _ind(6, "c_l1wb += 1"),
                 _ind(4, "_cs[line] = False"),
                 _ind(4, "if misses is None:"),
-                _ind(5, "misses = [trip]"),
+                _ind(5, "misses = [line]"),
                 _ind(4, "else:"),
-                _ind(5, "misses.append(trip)"),
+                _ind(5, "misses.append(line)"),
                 _ind(3, "if misses is None:"),
                 _ind(4, "mem_done = hit_time"),
                 _ind(3, "else:"),
@@ -491,9 +491,8 @@ class _GpmCodegen:
         out.append(_ind(miss_ind, f"base_time = hit_time + {self.xbar_lat!r}"))
         out.append(_ind(miss_ind, f"local_time = base_time + {self.local_extra!r}"))
         out.append(_ind(miss_ind, "local_fills = 0"))
-        out.append(_ind(miss_ind, f"for trip in {iterable}:"))
+        out.append(_ind(miss_ind, f"for line in {iterable}:"))
         body = miss_ind + 1
-        out.append(_ind(body, "line = trip[0]"))
         self._emit_dispatch(out, body, self._emit_local_read,
                             self._emit_remote_read, unique)
         out.append(_ind(miss_ind, "if local_fills:"))
@@ -513,12 +512,12 @@ class _GpmCodegen:
         out.append(_ind(3, "local_fills = 0"))
         if not self.l1_n_sets or unique:
             out.append(_ind(3, "c_l1byp += len(writes)"))
-        out.append(_ind(3, "for trip in writes:"))
-        out.append(_ind(4, "line = trip[0]"))
+        out.append(_ind(3, "for line in writes:"))
         if self.l1_n_sets and not unique:
+            n1 = self.bind("_N1", self.l1_n_sets)
             l1_insert = "True" if self.l1_track else "_d"
             out += [
-                _ind(4, "_cs = l1_sets[trip[1]]"),
+                _ind(4, f"_cs = l1_sets[line % {n1}]"),
                 _ind(4, "_d = _cs.pop(line, None)"),
                 _ind(4, "if _d is not None:"),
                 _ind(5, "c_l1h += 1"),
@@ -707,18 +706,12 @@ def build_walkers(memsys):
     from .memsys import LINE_BYTES, REQUEST_HEADER_BYTES
 
     gpms = memsys._gpms
-    l2_counts = {gpm.l2.n_sets for gpm in gpms}
-    uniform_l2 = l2_counts.pop() if len(l2_counts) == 1 else 0
-    l15_counts = {gpm.l15.n_sets if gpm.has_l15 else 0 for gpm in gpms}
-    uniform_l15 = l15_counts.pop() if len(l15_counts) == 1 else 0
-
     pipe_cells: dict = {}
     walkers = []
     flushes = memsys._walker_flushes
     for gpm in gpms:
         generator = _GpmCodegen(
-            memsys, gpm.gpm_id, pipe_cells, uniform_l2, uniform_l15,
-            LINE_BYTES, REQUEST_HEADER_BYTES,
+            memsys, gpm.gpm_id, pipe_cells, LINE_BYTES, REQUEST_HEADER_BYTES
         )
         factory, ctx, gc = generator.build()
         for sm in gpm.sms:

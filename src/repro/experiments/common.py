@@ -55,12 +55,15 @@ class CacheStoreStats:
     ``r<N>|`` model-revision prefix different from the current
     :data:`~repro.core.config.MODEL_REV` — dead weight that can never be
     served again and that :meth:`ResultCache.prune` reclaims.
+    ``corrupt_lines`` counts complete shard lines that do not parse into
+    an entry (never served; prune drops them too).
     """
 
     entries: int
     bytes_on_disk: int
     stale_entries: int
     entries_by_rev: Dict[int, int]
+    corrupt_lines: int = 0
 
 
 def _key_model_rev(key: str) -> Optional[int]:
@@ -111,10 +114,11 @@ class ResultCache:
         #: :meth:`prune` like rev-stale entries.
         self._stale_schema_keys: List[str] = []
         #: Per-shard read progress: path -> (inode, size, mtime_ns,
-        #: consumed bytes).  ``refresh`` compares a fresh ``stat`` against
-        #: this to skip untouched shards and to resume appending shards
-        #: from the last complete line instead of re-reading them.
-        self._shard_state: Dict[str, Tuple[int, int, int, int]] = {}
+        #: consumed bytes, corrupt lines among them).  ``refresh`` compares
+        #: a fresh ``stat`` against this to skip untouched shards and to
+        #: resume appending shards from the last complete line instead of
+        #: re-reading them.
+        self._shard_state: Dict[str, Tuple[int, int, int, int, int]] = {}
         self._loaded = False
         self.hits = 0
         self.misses = 0
@@ -130,35 +134,42 @@ class ResultCache:
         self._loaded = True
         self._scan()
 
-    def _absorb_line(self, raw: bytes) -> None:
-        """Parse one JSONL entry into memory (tolerating foreign lines)."""
+    def _absorb_line(self, raw: bytes) -> bool:
+        """Parse one JSONL entry into memory; False for a corrupt line.
+
+        A corrupt line — not UTF-8 JSON, not an entry object, or a result
+        that does not rebuild a :class:`SimResult` — is skipped, never
+        served and never raised.
+        """
         line = raw.strip()
         if not line:
-            return
+            return True
         try:
             entry = json.loads(line)
+            key = entry["key"]
+            payload = entry["result"]
             # Entries written under an older result schema are
             # never served: their stats no longer match what
             # fresh simulations (and the invariant layer)
             # produce.  Absent marker == schema 1.
-            if (
-                "key" in entry
-                and "result" in entry
-                and entry.get("schema", 1) != RESULT_SCHEMA
-            ):
-                key = str(entry["key"])
-                if key not in self._stale_schema_keys:
-                    self._stale_schema_keys.append(key)
-                return
-            result = SimResult.from_dict(entry["result"])
-        except (json.JSONDecodeError, KeyError, TypeError):
-            return  # tolerate a truncated or foreign line
-        self._memory[entry["key"]] = result
+            stale = entry.get("schema", 1) != RESULT_SCHEMA
+            result = None if stale else SimResult.from_dict(payload)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return False
+        if not isinstance(key, str):
+            return False
+        if stale:
+            if key not in self._stale_schema_keys:
+                self._stale_schema_keys.append(key)
+        else:
+            self._memory[key] = result
+        return True
 
-    def _read_shard(self, path: Path, offset: int) -> int:
-        """Absorb complete lines of ``path`` from ``offset``; new offset.
+    def _read_shard(self, path: Path, offset: int) -> Tuple[int, int]:
+        """Absorb complete lines of ``path`` from ``offset``.
 
-        Only whole lines are consumed: a torn trailing line (a concurrent
+        Returns the new offset and the number of corrupt lines read.  Only
+        whole lines are consumed: a torn trailing line (a concurrent
         writer caught mid-append) is left for the next refresh, when the
         grown file size forces another read that picks up the completed
         entry.
@@ -168,13 +179,15 @@ class ResultCache:
                 handle.seek(offset)
                 data = handle.read()
         except OSError:  # pragma: no cover - shard deleted mid-scan
-            return offset
+            return offset, 0
         complete, newline, _tail = data.rpartition(b"\n")
         if not newline:
-            return offset
+            return offset, 0
+        corrupt = 0
         for raw in complete.split(b"\n"):
-            self._absorb_line(raw)
-        return offset + len(complete) + 1
+            if not self._absorb_line(raw):
+                corrupt += 1
+        return offset + len(complete) + 1, corrupt
 
     def _scan(self) -> None:
         """Read every shard's unseen bytes, updating the per-shard state."""
@@ -189,16 +202,16 @@ class ResultCache:
             state = self._shard_state.get(str(path))
             if state is not None and state[:3] == signature:
                 continue  # untouched since the last scan
-            consumed = 0
+            consumed = corrupt = 0
             if state is not None and state[0] == signature[0] and stat.st_size >= state[3]:
                 # Same inode, grown (or same-size touch): shards are
                 # append-only, so resume from the last complete line.
-                consumed = state[3]
+                consumed, corrupt = state[3], state[4]
             # else: new shard, or replaced/truncated (prune rewrites via
             # rename, changing the inode) — read it from the top; entry
             # absorption is idempotent, so re-reads only cost time.
-            consumed = self._read_shard(path, consumed)
-            self._shard_state[str(path)] = (*signature, consumed)
+            consumed, more = self._read_shard(path, consumed)
+            self._shard_state[str(path)] = (*signature, consumed, corrupt + more)
 
     def refresh(self) -> int:
         """Pick up entries appended by other processes since the last read.
@@ -297,6 +310,7 @@ class ResultCache:
             bytes_on_disk=bytes_on_disk,
             stale_entries=stale,
             entries_by_rev=by_rev,
+            corrupt_lines=sum(state[4] for state in self._shard_state.values()),
         )
 
     def prune(self, model_rev: int = MODEL_REV) -> int:
@@ -347,6 +361,7 @@ class ResultCache:
                 stat.st_size,
                 stat.st_mtime_ns,
                 stat.st_size,
+                0,
             )
         except OSError:  # pragma: no cover - file removed underneath us
             pass

@@ -189,6 +189,7 @@ class ServeApp:
                     "entries": stats.entries,
                     "bytes_on_disk": stats.bytes_on_disk,
                     "stale_entries": stats.stale_entries,
+                    "corrupt_lines": stats.corrupt_lines,
                     "entries_by_rev": {
                         str(rev): count
                         for rev, count in stats.entries_by_rev.items()

@@ -53,9 +53,10 @@ class _CTA:
 class _WarpGroup:
     """One schedulable warp group walking its record list.
 
-    ``walk`` is the SM's generated memory walker when the array-backed fast
-    path is active (records are then geometry-specialized 4-tuples), or
-    ``None`` when the group carries classic :class:`TraceRecord` lists.
+    ``walk`` is the SM's generated memory walker when the walker fast path
+    is active, or ``None``: the group's fast 4-tuple records then go
+    through ``load_batch``/``store_batch``, or it carries classic
+    :class:`TraceRecord` lists.
     """
 
     __slots__ = ("cta", "records", "position", "walk")
@@ -68,48 +69,26 @@ class _WarpGroup:
 
 
 def _pack_plain_trace(trace, geometry):
-    """Specialize a hand-built ``CTATrace`` for one :class:`WalkGeometry`.
+    """Fast records for a hand-built ``CTATrace`` and one :class:`WalkGeometry`.
 
     Synthetic workloads produce :class:`ColumnarCTATrace` objects that
-    derive (and cache) their fast records from numpy columns; plain
-    record-list traces (tests, ad-hoc workloads) are small enough to pack
-    per launch with scalar arithmetic instead.
+    derive (and cache) their fast records themselves; plain record-list
+    traces (tests, ad-hoc workloads) are small enough to pack per launch.
     """
     throughput = geometry.issue_throughput
-    packed = geometry.packed
-    n_l1_sets = geometry.n_l1_sets
-    line_interleaved = geometry.line_interleaved
-    n_partitions = geometry.n_partitions
-    lines_per_page = geometry.lines_per_page
-    n_l2_sets = geometry.n_l2_sets
-    n_l15_sets = geometry.n_l15_sets
-
-    def triples(lines):
-        return tuple(
+    return [
+        [
             (
-                line,
-                line % n_l1_sets if n_l1_sets else 0,
-                line % n_partitions if line_interleaved else line // lines_per_page,
-                line % n_l2_sets if n_l2_sets else 0,
-                line % n_l15_sets if n_l15_sets else 0,
+                record.compute_cycles,
+                (record.compute_cycles + len(record.reads) + len(record.writes))
+                / throughput,
+                record.reads,
+                record.writes,
             )
-            for line in lines
-        )
-
-    groups = []
-    for records in trace:
-        out = []
-        for record in records:
-            compute_cycles = record.compute_cycles
-            reads = record.reads
-            writes = record.writes
-            busy = (compute_cycles + len(reads) + len(writes)) / throughput
-            if packed:
-                out.append((compute_cycles, busy, triples(reads), triples(writes)))
-            else:
-                out.append((compute_cycles, busy, reads, writes))
-        groups.append(out)
-    return groups
+            for record in records
+        ]
+        for records in trace
+    ]
 
 
 def _kernel_addrs_unique(kernel: KernelLaunch) -> bool:
@@ -195,10 +174,10 @@ class SimulationEngine:
             inf if telemetry is None else telemetry.begin_run(self.system, workload.name)
         )
 
-        # Array-backed fast path: generated per-SM walkers over geometry-
-        # specialized records.  Built once per engine and reused across
-        # runs — every object a walker binds (cache sets, stats, pipes,
-        # page maps, routes) is reset in place by ``system.reset()``.
+        # Array-backed fast path: generated per-SM walkers over fast
+        # records.  Built once per engine and reused across runs — every
+        # object a walker binds (cache sets, stats, pipes, page maps,
+        # routes) is reset in place by ``system.reset()``.
         # Migrating placement keeps the batch path (walkers None), and
         # the general loop (telemetry, per-line reference) keeps classic
         # TraceRecord lists.
@@ -207,7 +186,7 @@ class SimulationEngine:
             if cached is None:
                 memsys = self.system.memsys
                 walkers = memsys.make_walkers()
-                cached = (walkers, memsys.walk_geometry(packed=walkers is not None))
+                cached = (walkers, memsys.walk_geometry())
                 self._fast_cache = cached
             self._walkers, self._geometry = cached
         else:
@@ -385,7 +364,7 @@ class SimulationEngine:
             records = group.records
             # Fast records carry the issue busy time pre-divided (same
             # left-to-right arithmetic as SM.charge_issue) alongside the
-            # geometry-specialized read/write lists.
+            # plain read/write line tuples.
             compute_cycles, busy, reads, writes = records[position]
             position += 1
             group.position = position
@@ -446,9 +425,8 @@ class SimulationEngine:
                     f"expected {kernel.groups_per_cta}"
                 )
             # Pick the record representation for the active drain loop:
-            # geometry-specialized fast records (derived and cached by
-            # columnar traces, packed per launch for plain lists) or the
-            # classic TraceRecord view.
+            # fast records (derived and cached by columnar traces, packed
+            # per launch for plain lists) or the classic TraceRecord view.
             geometry = self._geometry
             walk = None
             if geometry is not None:

@@ -181,8 +181,8 @@ class SyntheticWorkload(Workload):
             )
             # Keep the generator's vectorization: the whole CTA stream
             # stays one numpy column block; per-record views (classic
-            # TraceRecords or geometry-specialized fast records) are
-            # derived lazily by the trace itself.
+            # TraceRecords or fast records) are derived lazily by the
+            # trace itself.
             return ColumnarCTATrace.from_flat(
                 lines,
                 spec.groups_per_cta,

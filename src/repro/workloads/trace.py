@@ -41,30 +41,16 @@ CTATrace = List[List[TraceRecord]]
 
 
 class WalkGeometry(NamedTuple):
-    """The memory-system shape a columnar trace is specialized against.
+    """The memory-system shape a trace's fast records are specialized against.
 
-    The array-backed fast path precomputes, per line, every piece of
-    arithmetic that depends only on the address and the (immutable) system
-    geometry: the L1 set index (``line % n_l1_sets``), the homing key
-    (``line % n_partitions`` for fine-grain interleaving, ``line //
-    lines_per_page`` for paged policies), and — when the respective level
-    has the same set count in every GPM — the L2 and L1.5 set indices.
-    ``n_l2_sets``/``n_l15_sets`` are 0 when the level is absent, disabled,
-    or non-uniform across GPMs; walkers then derive the index themselves.
-    ``issue_throughput`` folds the per-record issue busy time into the same
-    derivation.  ``packed`` is False for the fallback flavor (migrating
-    placement policies) whose records keep plain address tuples for
-    ``load_batch``/``store_batch``.
+    Fast records carry each record's issue busy time pre-divided by the
+    SM's ``issue_throughput``, the only system property they depend on.
+    Set indices and homing keys are not precomputed: the generated walkers
+    derive them from the line address, which costs the same as reading a
+    precomputed entry back.
     """
 
-    packed: bool
-    n_l1_sets: int
-    line_interleaved: bool
-    n_partitions: int
-    lines_per_page: int
     issue_throughput: float
-    n_l2_sets: int = 0
-    n_l15_sets: int = 0
 
 
 class ColumnarCTATrace:
@@ -83,11 +69,12 @@ class ColumnarCTATrace:
       for the reference per-line path and any external consumer (cached).
     * :meth:`fast_groups` — records specialized for one
       :class:`WalkGeometry`: ``(compute_cycles, issue_busy, reads,
-      writes)`` tuples whose read/write entries are ``(line, l1_set,
-      home_key, l2_set, l15_set)`` quintuples derived with whole-column
-      array ops.  Cached per geometry (benchmark harnesses interleave
-      several configurations over the same memoized traces, so a one-slot
-      cache would thrash and repack on every config switch).
+      writes)`` tuples whose ``reads``/``writes`` are the same plain line
+      tuples :meth:`base_groups` holds.  Both memory paths (generated
+      walkers and ``load_batch``/``store_batch``) consume them.  Cached per
+      geometry (benchmark harnesses interleave several configurations over
+      the same memoized traces, so a one-slot cache would thrash and
+      repack on every config switch).
     """
 
     __slots__ = (
@@ -203,8 +190,7 @@ class ColumnarCTATrace:
             compute_cycles = self.compute_cycles
             spans = self._spans
             base = []
-            for row in self.addrs:
-                row_list = row.tolist()
+            for row_list in self.addrs.tolist():
                 base.append(
                     [
                         TraceRecord(
@@ -221,11 +207,10 @@ class ColumnarCTATrace:
     def fast_groups(self, geometry: WalkGeometry):
         """Records specialized for ``geometry`` (cached per geometry).
 
-        Packed records are ``(compute_cycles, issue_busy, reads, writes)``
-        with ``(line, l1_set, home_key, l2_set, l15_set)`` quintuples; the
-        unpacked flavor keeps plain address tuples.  ``issue_busy`` is
-        accumulated with the same left-to-right float arithmetic as
-        ``SM.charge_issue`` so the engine's timing is bit-identical.
+        Records are ``(compute_cycles, issue_busy, reads, writes)`` with
+        plain line tuples.  ``issue_busy`` is accumulated with the same
+        left-to-right float arithmetic as ``SM.charge_issue`` so the
+        engine's timing is bit-identical.
         """
         cache = self._fast
         if cache is None:
@@ -235,77 +220,18 @@ class ColumnarCTATrace:
             if cached is not None:
                 return cached
         compute_cycles = self.compute_cycles
-        spans = self._spans
         throughput = geometry.issue_throughput
-        busys = [
-            (compute_cycles + (mid - start) + (end - mid)) / throughput
-            for start, mid, end in spans
+        spans = [
+            (start, mid, end, (compute_cycles + (mid - start) + (end - mid)) / throughput)
+            for start, mid, end in self._spans
         ]
-        groups = []
-        if geometry.packed:
-            addrs = self.addrs
-            n_l1_sets = geometry.n_l1_sets
-            if n_l1_sets:
-                l1_sets = addrs % n_l1_sets
-            else:
-                l1_sets = np.zeros_like(addrs)
-            if geometry.line_interleaved:
-                home_keys = addrs % geometry.n_partitions
-            else:
-                home_keys = addrs // geometry.lines_per_page
-            n_l2_sets = geometry.n_l2_sets
-            if n_l2_sets:
-                l2_sets = addrs % n_l2_sets
-            else:
-                l2_sets = np.zeros_like(addrs)
-            n_l15_sets = geometry.n_l15_sets
-            if n_l15_sets:
-                l15_sets = addrs % n_l15_sets
-            else:
-                l15_sets = np.zeros_like(addrs)
-            for row, s1_row, home_row, s2_row, s15_row in zip(
-                addrs, l1_sets, home_keys, l2_sets, l15_sets
-            ):
-                row_list = row.tolist()
-                s1_list = s1_row.tolist()
-                home_list = home_row.tolist()
-                s2_list = s2_row.tolist()
-                s15_list = s15_row.tolist()
-                groups.append(
-                    [
-                        (
-                            compute_cycles,
-                            busy,
-                            tuple(
-                                zip(
-                                    row_list[start:mid],
-                                    s1_list[start:mid],
-                                    home_list[start:mid],
-                                    s2_list[start:mid],
-                                    s15_list[start:mid],
-                                )
-                            ),
-                            tuple(
-                                zip(
-                                    row_list[mid:end],
-                                    s1_list[mid:end],
-                                    home_list[mid:end],
-                                    s2_list[mid:end],
-                                    s15_list[mid:end],
-                                )
-                            ),
-                        )
-                        for (start, mid, end), busy in zip(spans, busys)
-                    ]
-                )
-        else:
-            for records in self.base_groups():
-                groups.append(
-                    [
-                        (record.compute_cycles, busy, record.reads, record.writes)
-                        for record, busy in zip(records, busys)
-                    ]
-                )
+        groups = [
+            [
+                (compute_cycles, busy, tuple(row[start:mid]), tuple(row[mid:end]))
+                for start, mid, end, busy in spans
+            ]
+            for row in self.addrs.tolist()
+        ]
         cache[geometry] = groups
         return groups
 

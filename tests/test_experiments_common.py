@@ -73,6 +73,7 @@ class TestResultCache:
             handle.write(json.dumps({"unrelated": 1}) + "\n")
         fresh = ResultCache(tmp_path)
         assert len(fresh) == 1
+        assert fresh.stats().corrupt_lines == 2
 
     def test_no_cache_mode(self):
         result = run_one(tiny_workload(), tiny_config(), cache=None)
@@ -110,6 +111,73 @@ class TestResultCache:
         assert len(fresh) == 1
 
 
+def _entry_line(sim, **overrides):
+    entry = {
+        "key": ResultCache.key(sim.workload_digest, sim.system_digest),
+        "schema": common.RESULT_SCHEMA,
+        "result": sim.to_dict(),
+    }
+    entry.update(overrides)
+    return json.dumps(entry).encode() + b"\n"
+
+
+class TestCorruptLines:
+    """Malformed shard lines are counted, never served and never raised."""
+
+    def _corrupt_lines(self, result):
+        missing = result.to_dict()
+        del missing["cycles"]
+        keyless = json.loads(_entry_line(result))
+        del keyless["key"]
+        return [
+            b"\xff\xfe not utf-8 \x80\n",
+            json.dumps([1, 2, 3]).encode() + b"\n",
+            _entry_line(result, result=5),
+            _entry_line(result, result=missing),
+            json.dumps(keyless).encode() + b"\n",
+        ]
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_each_corrupt_line_is_counted_not_served(self, tmp_path, index):
+        result = run_one(tiny_workload(), tiny_config(), cache=None)
+        (tmp_path / "results.jsonl").write_bytes(self._corrupt_lines(result)[index])
+        cache = ResultCache(tmp_path)
+        assert cache.get(result.workload_digest, result.system_digest) is None
+        stats = cache.stats()
+        assert stats.corrupt_lines == 1
+        assert stats.entries == 0
+
+    def test_good_entries_survive_among_corrupt_lines(self, tmp_path):
+        result = run_one(tiny_workload(), tiny_config(), cache=None)
+        corrupt = self._corrupt_lines(result)
+        (tmp_path / "results.jsonl").write_bytes(
+            b"".join(corrupt[:2]) + _entry_line(result) + b"".join(corrupt[2:])
+        )
+        cache = ResultCache(tmp_path)
+        assert cache.get(result.workload_digest, result.system_digest) == result
+        assert cache.stats().corrupt_lines == 5
+        # A refresh of the untouched shard does not count them again.
+        assert cache.refresh() == 0
+        assert cache.stats().corrupt_lines == 5
+        # Prune rewrites only the good entries.
+        cache.prune()
+        assert cache.stats().corrupt_lines == 0
+        assert ResultCache(tmp_path).stats().corrupt_lines == 0
+
+    def test_torn_trailing_line_is_not_counted(self, tmp_path):
+        result = run_one(tiny_workload(), tiny_config(), cache=None)
+        line = _entry_line(result)
+        shard = tmp_path / "results-torn.jsonl"
+        shard.write_bytes(line[: len(line) // 2])  # a writer caught mid-append
+        cache = ResultCache(tmp_path)
+        assert cache.refresh() == 0
+        assert cache.stats().corrupt_lines == 0
+        shard.write_bytes(line)  # the append completes
+        assert cache.refresh() == 1
+        assert cache.stats().corrupt_lines == 0
+        assert cache.get(result.workload_digest, result.system_digest) == result
+
+
 def _plant_stale_entry(cache, result, rev):
     """Append a cache line whose system digest claims model revision ``rev``."""
     line = json.dumps(
@@ -126,6 +194,7 @@ class TestCacheStatsAndPrune:
         assert stats.bytes_on_disk == 0
         assert stats.stale_entries == 0
         assert stats.entries_by_rev == {}
+        assert stats.corrupt_lines == 0
 
     def test_stats_counts_current_and_stale(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -26,6 +26,7 @@ from repro.core.presets import (
     monolithic_gpu,
     multi_gpu,
 )
+from repro.core.walkgen import _CODE_CACHE
 from repro.memory.cache import CacheStats, SetAssocCache
 from repro.sim.simulator import Simulator
 from repro.telemetry import Telemetry
@@ -100,6 +101,19 @@ CONFIG_MAKERS = [
             id=f"{topology}-8",
         )
         for topology in ("mesh", "torus", "hierarchical")
+    ),
+    # Paged homing: the walkers derive each line's page inline and look
+    # it up in the policy's page map.
+    *(
+        pytest.param(
+            lambda placement=placement: replace(
+                baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2),
+                placement=placement,
+                page_bytes=4096,
+            ),
+            id=placement.replace("_", "-"),
+        )
+        for placement in ("first_touch", "round_robin_page")
     ),
     pytest.param(
         lambda: replace(
@@ -180,6 +194,71 @@ class TestBatchedPerLineIdentity:
         assert Simulator(monolithic_gpu(n_sms=32)).engine.batched is True
         monkeypatch.delenv("REPRO_SIM_PERLINE")
         assert Simulator(monolithic_gpu(n_sms=32)).engine.batched is True
+
+
+def _with_cache_size(config, level, factor):
+    gpm = config.gpm
+    cache = getattr(gpm, level)
+    resized = replace(cache, size_bytes=cache.size_bytes * factor)
+    return replace(config, gpm=replace(gpm, **{level: resized}))
+
+
+def _paged(page_bytes):
+    return replace(
+        baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2),
+        placement="first_touch",
+        page_bytes=page_bytes,
+    )
+
+
+class TestWalkerSourceStability:
+    """Capacity and page-size sweeps reuse one compiled walker factory.
+
+    Set counts and the homing divisor are bound into the walkers as
+    closure values, so systems that differ only in those sizes generate
+    identical source.  Inlining them as literals would compile (and keep)
+    one walker per size, growing a sweep worker's memory with every point.
+    """
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            pytest.param(
+                lambda: mcm_gpu_with_l15(8, n_gpms=4, sms_per_gpm=2),
+                lambda: _with_cache_size(
+                    mcm_gpu_with_l15(8, n_gpms=4, sms_per_gpm=2), "l15", 2
+                ),
+                id="l15-capacity",
+            ),
+            pytest.param(
+                lambda: baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2),
+                lambda: _with_cache_size(
+                    baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2), "l2", 2
+                ),
+                id="l2-capacity",
+            ),
+            pytest.param(
+                lambda: _paged(4096), lambda: _paged(8192), id="page-bytes"
+            ),
+        ],
+    )
+    def test_size_change_compiles_no_new_walker(self, first, second):
+        base = Simulator(first()).system
+        variant = Simulator(second()).system
+        # The pair must really differ in the swept size.
+        assert (
+            [gpm.l2.n_sets for gpm in base.gpms],
+            [gpm.l15.n_sets for gpm in base.gpms if gpm.has_l15],
+            base.address_map.lines_per_page,
+        ) != (
+            [gpm.l2.n_sets for gpm in variant.gpms],
+            [gpm.l15.n_sets for gpm in variant.gpms if gpm.has_l15],
+            variant.address_map.lines_per_page,
+        )
+        assert base.memsys.make_walkers() is not None
+        compiled = len(_CODE_CACHE)
+        assert variant.memsys.make_walkers() is not None
+        assert len(_CODE_CACHE) == compiled
 
 
 class TestTraceMemo:

@@ -464,12 +464,15 @@ class TestServerEndToEnd:
         # shard) writes a result into the server's cache directory.
         foreign = ResultCache(server.tmp / "cache", shard="foreign")
         foreign.put(Simulator(config).run(workload))
+        # ...and a malformed line, which the server counts but never serves.
+        (server.tmp / "cache" / "results-junk.jsonl").write_bytes(b"[1, 2]\n")
         refreshed = server.client.refresh()
         assert refreshed["new_entries"] >= 1
         view = server.client.submit(workload, config)
         assert view["how"] == "cached"
         stats = server.client.cache_stats()
         assert stats["entries"] >= 1
+        assert stats["corrupt_lines"] == 1
 
     def test_events_stream_replays_transitions(self, server):
         workload = tiny_workload("e2e-w7")

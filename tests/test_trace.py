@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.presets import baseline_mcm_gpu
+from repro.sim.simulator import Simulator
 from repro.workloads.trace import (
     ColumnarCTATrace,
     KernelLaunch,
@@ -104,18 +106,8 @@ class TestColumnarCTATrace:
             ColumnarCTATrace.from_flat(lines, 3, 0, 4, 1.0)
 
 
-PACKED_INTERLEAVED = WalkGeometry(
-    packed=True,
-    n_l1_sets=8,
-    line_interleaved=True,
-    n_partitions=4,
-    lines_per_page=16,
-    issue_throughput=4.0,
-    n_l2_sets=16,
-    n_l15_sets=0,
-)
-PACKED_PAGED = PACKED_INTERLEAVED._replace(line_interleaved=False, n_l15_sets=32)
-UNPACKED = PACKED_INTERLEAVED._replace(packed=False)
+GEOMETRY = WalkGeometry(issue_throughput=4.0)
+OTHER_GEOMETRY = WalkGeometry(issue_throughput=2.0)
 
 
 class TestFastGroups:
@@ -126,50 +118,39 @@ class TestFastGroups:
             compute_cycles=3.0,
         )
 
-    def test_packed_quintuples_carry_geometry_indices(self):
-        trace = self._trace()
-        groups = trace.fast_groups(PACKED_INTERLEAVED)
-        base = trace.base_groups()
-        for group, records in zip(groups, base):
-            for packed, record in zip(group, records):
-                compute_cycles, busy, reads, writes = packed
-                assert compute_cycles == record.compute_cycles
-                assert busy == (
-                    3.0 + len(record.reads) + len(record.writes)
-                ) / 4.0
-                assert tuple(t[0] for t in reads) == record.reads
-                assert tuple(t[0] for t in writes) == record.writes
-                for line, l1_set, home, l2_set, l15_set in reads + writes:
-                    assert l1_set == line % 8
-                    assert home == line % 4  # fine-grain interleaving
-                    assert l2_set == line % 16
-                    assert l15_set == 0  # level absent -> placeholder column
-
-    def test_paged_homing_uses_page_index(self):
-        trace = self._trace()
-        groups = trace.fast_groups(PACKED_PAGED)
-        for group in groups:
-            for _, _, reads, writes in group:
-                for line, _, home, _, l15_set in reads + writes:
-                    assert home == line // 16
-                    assert l15_set == line % 32
-
     def test_unpacked_flavor_keeps_plain_addresses(self):
+        # Fast records carry the same plain line tuples as base_groups.
         trace = self._trace()
-        groups = trace.fast_groups(UNPACKED)
-        for group, records in zip(groups, trace.base_groups()):
-            for (compute_cycles, busy, reads, writes), record in zip(
-                group, records
-            ):
+        groups = trace.fast_groups(GEOMETRY)
+        base = trace.base_groups()
+        assert len(groups) == len(base)
+        for group, records in zip(groups, base):
+            assert len(group) == len(records)
+            for (compute_cycles, _, reads, writes), record in zip(group, records):
+                assert compute_cycles == record.compute_cycles
+                assert type(reads) is tuple and type(writes) is tuple
                 assert reads == record.reads
                 assert writes == record.writes
 
+    def test_busy_is_pre_divided_issue_time(self):
+        trace = self._trace()
+        for group in trace.fast_groups(GEOMETRY):
+            for compute_cycles, busy, reads, writes in group:
+                assert busy == (compute_cycles + len(reads) + len(writes)) / 4.0
+
     def test_cache_is_per_geometry_and_stable(self):
         trace = self._trace()
-        first_a = trace.fast_groups(PACKED_INTERLEAVED)
-        first_b = trace.fast_groups(PACKED_PAGED)
+        first_a = trace.fast_groups(GEOMETRY)
+        first_b = trace.fast_groups(OTHER_GEOMETRY)
         # Interleaving geometries (a benchmark sweeping configs over one
         # memoized trace) must not repack: each geometry keeps its slot.
-        assert trace.fast_groups(PACKED_INTERLEAVED) is first_a
-        assert trace.fast_groups(PACKED_PAGED) is first_b
+        assert trace.fast_groups(GEOMETRY) is first_a
+        assert trace.fast_groups(OTHER_GEOMETRY) is first_b
         assert first_a is not first_b
+
+    def test_walker_and_batch_paths_share_one_geometry(self):
+        memsys = Simulator(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)).system.memsys
+        walker = memsys.walk_geometry(packed=True)
+        assert memsys.walk_geometry(packed=False) is walker
+        assert memsys.walk_geometry() is walker
+        assert walker == WalkGeometry(memsys._gpms[0].sms[0].issue_throughput)
