@@ -457,8 +457,8 @@ def predict_cycles(profile: "WorkloadProfile", config: "SystemConfig") -> Analyt
     overlapped link-serialization term:
 
     * **issue** — every record issues ``compute + accesses`` instruction
-      slots through each SM's issue port (``charge_issue`` in the
-      engine);
+      slots through each SM's issue port (the pre-divided issue busy
+      time of the engine's fast records);
     * **dram** — post-cache line fills and write-backs through the
       aggregate DRAM bandwidth;
     * **link** — remote request/response hop-bytes (64 B headers, 192 B

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional
 
+from ..memory.address import AddressMap
 from ..memory.cache import AllocationPolicy, WritePolicy
 from ..memory.placement import PLACEMENT_POLICIES
 from .energy import IntegrationTier
@@ -197,6 +198,8 @@ class SystemConfig:
     topology: str = "ring"
 
     def __post_init__(self) -> None:
+        if isinstance(self.n_gpms, bool) or not isinstance(self.n_gpms, int):
+            raise ValueError(f"n_gpms must be an integer, got {self.n_gpms!r}")
         if self.n_gpms <= 0:
             raise ValueError(f"n_gpms must be positive, got {self.n_gpms}")
         if self.n_gpms > 1 and self.link_bandwidth <= 0:
@@ -208,6 +211,7 @@ class SystemConfig:
         from ..interconnect.topology import get_topology
 
         get_topology(self.topology)  # raises ValueError with known names
+        AddressMap(self.line_bytes, self.page_bytes)  # raises on unbuildable sizes
         if self.placement not in PLACEMENT_POLICIES:
             known = ", ".join(sorted(PLACEMENT_POLICIES))
             raise ValueError(

@@ -144,227 +144,6 @@ class MemorySystem:
         return now + STORE_ACK_LATENCY
 
     # ------------------------------------------------------------------
-    # bulk request paths (engine hot loop)
-    # ------------------------------------------------------------------
-    #
-    # One TraceRecord issues its whole read list and write list together.
-    # These bulk paths walk the lines in the same order and perform the
-    # same state mutations as per-line load()/store() calls — results are
-    # bit-identical (tests/test_perf_identity.py pins this) — but resolve
-    # the overwhelmingly common L1 hit with inline dict operations and
-    # hoist every per-request attribute lookup out of the line loop.
-
-    def load_batch(self, now: float, sm: "SM", lines) -> float:
-        """Issue a record's read list; returns the latest arrival cycle.
-
-        Equivalent to ``max(load(now, sm, line) for line in lines)`` with
-        ``now`` as the floor for an empty list.
-        """
-        self.loads += len(lines)
-        l1 = sm.l1
-        stats = l1.stats
-        sets = l1._sets
-        n_sets = l1.n_sets
-        ways = l1.ways
-        hit_time = now + sm.l1_hit_latency
-        mem_done = now
-        misses = None
-        for line in lines:
-            if n_sets:
-                cache_set = sets[line % n_sets]
-                if line in cache_set:
-                    # Inline L1 read hit: refresh LRU, preserve dirty state.
-                    stats.hits += 1
-                    cache_set[line] = cache_set.pop(line)
-                    if hit_time > mem_done:
-                        mem_done = hit_time
-                    continue
-                stats.misses += 1
-                if len(cache_set) >= ways:
-                    if cache_set.pop(next(iter(cache_set))):
-                        stats.writebacks += 1
-                cache_set[line] = False
-            else:
-                stats.misses += 1
-            if misses is None:
-                misses = [line]
-            else:
-                misses.append(line)
-        if misses is None:
-            return mem_done
-
-        gpm_id = sm.gpm_id
-        gpm = self._gpms[gpm_id]
-        base_time = hit_time + gpm.xbar_latency
-        page_table = self._page_table
-        # Inlined PageTable.home_partition / Crossbar.classify: the homing
-        # arithmetic is done in-loop and the pure-count counters are
-        # accumulated locally and flushed once per batch (their totals are
-        # order-insensitive and nothing reads them mid-record).
-        policy = page_table.policy
-        line_interleaved = page_table._line_interleaved
-        n_partitions = policy.n_partitions
-        lines_per_page = page_table.address_map.lines_per_page
-        partition_of_page = policy.partition_of_page
-        migrating = self._migrating_policy
-        # Mapped-page fast path: a plain dict hit skips the policy call.
-        # Migrating policies do per-access work inside partition_of_page,
-        # so the shortcut is disabled for them.
-        page_map = None if migrating is not None else getattr(policy, "_page_map", None)
-        local_homes = 0
-        remote_homes = 0
-        l15 = gpm.l15
-        l15_caches_local = gpm.l15_caches_local
-        has_l15 = gpm.has_l15
-        l15_hit_latency = gpm.l15_hit_latency
-        l15_miss_penalty = gpm.l15_miss_penalty
-        partition_read = self._partition_read
-        # Inlined GraphNetwork.transfer: the fabric's precomputed route
-        # tuples, walked directly (same hop order, same pipe charges).
-        routes = self._ring.routes
-        request_routes = routes[gpm_id]
-        remote_loads = 0
-        for line in misses:
-            if line_interleaved:
-                home = line % n_partitions
-            else:
-                page = line // lines_per_page
-                if page_map is None:
-                    home = partition_of_page(page, gpm_id)
-                else:
-                    home = page_map.get(page)
-                    if home is None:
-                        home = partition_of_page(page, gpm_id)
-            if migrating is not None and migrating.pending_migration:
-                self._charge_migration(base_time)
-            if home == gpm_id:
-                local_homes += 1
-                if l15_caches_local:
-                    l15_hit, _ = l15.access(line)
-                    if l15_hit:
-                        done = base_time + l15_hit_latency
-                        if done > mem_done:
-                            mem_done = done
-                        continue
-                    done = partition_read(base_time + l15_miss_penalty, home, line)
-                else:
-                    done = partition_read(base_time, home, line)
-            else:
-                remote_homes += 1
-                remote_loads += 1
-                time = base_time
-                if has_l15:
-                    l15_hit, _ = l15.access(line)
-                    if l15_hit:
-                        done = base_time + l15_hit_latency
-                        if done > mem_done:
-                            mem_done = done
-                        continue
-                    time = base_time + l15_miss_penalty
-                for link in request_routes[home]:
-                    time = (
-                        link.request_pipe.transfer(time, REQUEST_HEADER_BYTES)
-                        + link.latency_cycles
-                    )
-                time = partition_read(time, home, line)
-                for link in routes[home][gpm_id]:
-                    time = (
-                        link.response_pipe.transfer(time, LINE_BYTES + REQUEST_HEADER_BYTES)
-                        + link.latency_cycles
-                    )
-                done = time
-            if done > mem_done:
-                mem_done = done
-        self.remote_loads += remote_loads
-        page_table.local_resolutions += local_homes
-        page_table.remote_resolutions += remote_homes
-        xbar = gpm.xbar
-        xbar.local_requests += local_homes
-        xbar.remote_requests += remote_homes
-        return mem_done
-
-    def store_batch(self, now: float, sm: "SM", lines) -> None:
-        """Issue a record's write list (buffered; the caller never waits).
-
-        Equivalent to calling :meth:`store` once per line, in order.
-        """
-        self.stores += len(lines)
-        l1 = sm.l1
-        stats = l1.stats
-        sets = l1._sets
-        n_sets = l1.n_sets
-        track_dirty = l1._track_dirty
-        gpm_id = sm.gpm_id
-        gpm = self._gpms[gpm_id]
-        time = now + gpm.xbar_latency
-        page_table = self._page_table
-        # Same inlining discipline as load_batch: homing arithmetic in-loop,
-        # pure-count page-table/crossbar counters flushed once per batch.
-        policy = page_table.policy
-        line_interleaved = page_table._line_interleaved
-        n_partitions = policy.n_partitions
-        lines_per_page = page_table.address_map.lines_per_page
-        partition_of_page = policy.partition_of_page
-        migrating = self._migrating_policy
-        page_map = None if migrating is not None else getattr(policy, "_page_map", None)
-        local_homes = 0
-        remote_homes = 0
-        l15 = gpm.l15
-        l15_caches_local = gpm.l15_caches_local
-        has_l15 = gpm.has_l15
-        partition_write = self._partition_write
-        request_routes = self._ring.routes[gpm_id]
-        store_bytes = LINE_BYTES + REQUEST_HEADER_BYTES
-        remote_stores = 0
-        for line in lines:
-            # Inline write-through no-allocate touch (see touch_store).
-            if n_sets:
-                cache_set = sets[line % n_sets]
-                if line in cache_set:
-                    stats.hits += 1
-                    stats.write_hits += 1
-                    cache_set[line] = cache_set.pop(line) or track_dirty
-                else:
-                    stats.bypasses += 1
-            else:
-                stats.bypasses += 1
-            if line_interleaved:
-                home = line % n_partitions
-            else:
-                page = line // lines_per_page
-                if page_map is None:
-                    home = partition_of_page(page, gpm_id)
-                else:
-                    home = page_map.get(page)
-                    if home is None:
-                        home = partition_of_page(page, gpm_id)
-            if migrating is not None and migrating.pending_migration:
-                self._charge_migration(time)
-            if home == gpm_id:
-                local_homes += 1
-                if l15_caches_local:
-                    l15.touch_store(line)
-                partition_write(time, home, line)
-            else:
-                remote_homes += 1
-                remote_stores += 1
-                if has_l15:
-                    l15.touch_store(line)
-                arrival = time
-                for link in request_routes[home]:
-                    arrival = (
-                        link.request_pipe.transfer(arrival, store_bytes)
-                        + link.latency_cycles
-                    )
-                partition_write(arrival, home, line)
-        self.remote_stores += remote_stores
-        page_table.local_resolutions += local_homes
-        page_table.remote_resolutions += remote_homes
-        xbar = gpm.xbar
-        xbar.local_requests += local_homes
-        xbar.remote_requests += remote_homes
-
-    # ------------------------------------------------------------------
     # array-backed fast path (per-SM generated walkers)
     # ------------------------------------------------------------------
     #
@@ -384,11 +163,11 @@ class MemorySystem:
     # tests/test_perf_identity.py pins bit-identity across the matrix.
 
     def walk_geometry(self, packed: bool = True) -> "WalkGeometry":
-        """The :class:`WalkGeometry` traces are specialized against.
+        """The :class:`WalkGeometry` traces are packed against.
 
-        Built once per memory system.  ``packed`` (walker vs
-        ``load_batch``/``store_batch`` path) no longer changes the result:
-        both paths consume the same fast records.
+        Built once per memory system.  ``packed`` is accepted for callers
+        that still name a path and ignored: the walkers and the per-line
+        reference drain the same fast records.
         """
         geometry = self._walk_geometry
         if geometry is None:
@@ -406,8 +185,8 @@ class MemorySystem:
         :mod:`repro.core.walkgen`; ``walk_unique`` is the flavor the engine
         selects for kernels with globally unique address columns.
         Migrating placement policies interleave page-copy charges with line
-        charges and do per-access work inside homing, so they keep the
-        ``load_batch``/``store_batch`` path entirely (``None``).  Must be
+        charges and do per-access work inside homing, so they run on the
+        per-line :meth:`load`/:meth:`store` path (``None``).  Must be
         called after ``system.reset()`` — walkers bind the current stats
         objects.
         """
@@ -459,13 +238,10 @@ class MemorySystem:
     # home-partition access (memory-side L2 in front of local DRAM)
     # ------------------------------------------------------------------
 
-    # Both partition paths inline the L2 lookup and the DRAM pipe charge:
-    # they mirror ``SetAssocCache.access`` / ``DRAMPartition`` line for
-    # line (same counters, same LRU dict operations, same pipe-charge
-    # order: write-back before fill), trading the two hottest remaining
-    # call chains for direct dict work.  (``reset_stats`` now zeroes the
-    # stats object in place, so binding it per call is a convenience, not
-    # a correctness requirement.)
+    # Both partition paths do the L2 lookup and the DRAM pipe charge as
+    # direct dict work instead of calling ``SetAssocCache.access`` and
+    # ``DRAMPartition``: the same counters, LRU dict operations and
+    # pipe-charge order (write-back before fill).
 
     def _partition_read(self, now: float, home: int, line_addr: int) -> float:
         gpm = self._gpms[home]

@@ -72,17 +72,6 @@ class SM:
             raise RuntimeError(f"SM {self.sm_id} released more slots than it holds")
         self.free_cta_slots += 1
 
-    def charge_issue(self, start: float, n_instructions: float) -> None:
-        """Occupy the issue ports for ``n_instructions`` starting at ``start``.
-
-        ``issue_throughput`` instructions retire per cycle across the SM's
-        warp schedulers, so a batch holds the ports for
-        ``n_instructions / issue_throughput`` cycles.
-        """
-        busy = n_instructions / self.issue_throughput
-        self.clock = start + busy
-        self.issue_busy_cycles += busy
-
     def reset(self) -> None:
         """Clear timing state and the L1 between simulations."""
         self.clock = 0.0

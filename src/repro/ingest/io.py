@@ -93,7 +93,7 @@ def read_jsonl(path: PathLike) -> TraceDocument:
     try:
         with _open_text(path, "r") as handle:
             lines = handle.read().splitlines()
-    except (OSError, EOFError) as error:
+    except (OSError, EOFError, UnicodeDecodeError) as error:
         raise IngestError(f"{where}: cannot read ({error})") from error
     records = []
     for number, line in enumerate(lines, start=1):
@@ -101,11 +101,16 @@ def read_jsonl(path: PathLike) -> TraceDocument:
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as error:
             raise SchemaError(
                 f"{where}:{number}: invalid JSON ({error.msg}) — truncated file?"
             ) from error
+        if not isinstance(record, dict):
+            raise SchemaError(
+                f"{where}:{number}: expected a JSON object, got {type(record).__name__}"
+            )
+        records.append(record)
     if not records:
         raise SchemaError(f"{where}: empty file")
     header = records[0].get("header")
@@ -148,6 +153,8 @@ def read_jsonl(path: PathLike) -> TraceDocument:
     n_ctas = sum(len(entries) for entries in sets.values())
     if end is None:
         raise SchemaError(f"{where}: missing end line — torn or truncated file")
+    if not isinstance(end, dict):
+        raise SchemaError(f"{where}: malformed end line {end!r}")
     if end.get("ctas") != n_ctas or end.get("kernels") != len(kernels):
         raise SchemaError(
             f"{where}: end line declares {end.get('ctas')} CTAs / "

@@ -8,8 +8,8 @@ direction of each edge, and freezes a per-pair route table at
 construction: BFS shortest paths walked greedily with a lowest-index
 tie-break, unless the caller supplies explicit node paths (the ring's
 source-parity antipodal tie-break).  The public ``routes`` table is what
-the array-backed batch paths and the generated walkers key on, so every
-fabric gets the fast engine paths for free.
+the generated walkers key on, so every fabric gets the walker path for
+free.
 
 The module also hosts the pure-graph math (:func:`bfs_distances`,
 :func:`remote_hop_counts`, :func:`graph_diameter`) the topology registry

@@ -1,11 +1,12 @@
 """Event-driven simulation engine.
 
-The engine advances a global min-heap of warp-group readiness events.
-Executing one :class:`~repro.workloads.trace.TraceRecord` charges the SM's
-issue ports, routes the record's loads and stores through the memory
-system, and re-arms the group at ``issue_start + max(compute, memory)`` —
-the classic GPU latency-hiding model where a group's arithmetic overlaps
-its own memory batch and other groups fill the SM in the meantime.
+The engine advances a global min-heap of warp-group readiness events in
+one drain loop.  Executing one trace record charges the SM's issue ports,
+routes the record's loads and stores through the memory system (a
+generated per-SM walker, or per-line ``load``/``store``), and re-arms the
+group at ``issue_start + max(compute, memory)`` — the classic GPU
+latency-hiding model where a group's arithmetic overlaps its own memory
+batch and other groups fill the SM in the meantime.
 
 CTA lifecycle: the configured scheduler places an initial wave of CTAs
 breadth-first across SMs, then refills an SM whenever one of its resident
@@ -28,11 +29,15 @@ from ..sched.distributed import make_scheduler
 from ..workloads.trace import KernelLaunch, Workload
 from .result import SimResult
 
+#: ``SimulationEngine._built_walkers`` before the first make_walkers() call
+#: (its result may itself be None).
+_UNBUILT = object()
+
 
 def _perline_requested() -> bool:
     """True when ``REPRO_SIM_PERLINE`` forces the reference per-line path.
 
-    Debug/verification knob: the batched memory path is the production
+    Debug/verification knob: the generated walkers are the production
     default; the per-line path is kept as the executable specification the
     bit-identity suite diffs against (tests/test_perf_identity.py).
     """
@@ -53,10 +58,10 @@ class _CTA:
 class _WarpGroup:
     """One schedulable warp group walking its record list.
 
-    ``walk`` is the SM's generated memory walker when the walker fast path
-    is active, or ``None``: the group's fast 4-tuple records then go
-    through ``load_batch``/``store_batch``, or it carries classic
-    :class:`TraceRecord` lists.
+    ``records`` are fast ``(compute_cycles, issue_busy, reads, writes)``
+    records.  ``walk`` is the SM's generated memory walker when walkers
+    are active, or ``None``: the group's lines then go through per-line
+    ``MemorySystem.load``/``store``.
     """
 
     __slots__ = ("cta", "records", "position", "walk")
@@ -141,17 +146,16 @@ class SimulationEngine:
         # bit-identical with or without the subsystem.
         self._telemetry = None
         self._next_sample = inf
-        #: Batched memory path (load_batch/store_batch) vs the reference
-        #: per-line path.  Both produce bit-identical results; the flag
-        #: exists so the identity suite can diff them.
+        #: Generated walkers allowed (False forces the per-line reference
+        #: path).  Both produce bit-identical results; the flag exists so
+        #: the identity suite can diff them.
         self.batched = not _perline_requested()
-        # Array-backed fast-path state: the geometry traces are
-        # specialized against and the per-SM generated walkers (None outside
-        # the fast path / for migrating placement).  ``_fast_cache``
-        # holds the one-time (walkers, geometry) build for this system.
+        # The geometry traces are packed against, and the per-SM generated
+        # walkers of the current run (None on the per-line path).
+        # ``_built_walkers`` holds the one-time make_walkers() result.
         self._geometry = None
         self._walkers = None
-        self._fast_cache = None
+        self._built_walkers = _UNBUILT
         # True while the current kernel's addresses are globally unique
         # (selects the walkers' L1/L1.5-skipping flavor).
         self._kernel_unique = False
@@ -174,24 +178,20 @@ class SimulationEngine:
             inf if telemetry is None else telemetry.begin_run(self.system, workload.name)
         )
 
-        # Array-backed fast path: generated per-SM walkers over fast
-        # records.  Built once per engine and reused across runs — every
-        # object a walker binds (cache sets, stats, pipes, page maps,
-        # routes) is reset in place by ``system.reset()``.
-        # Migrating placement keeps the batch path (walkers None), and
-        # the general loop (telemetry, per-line reference) keeps classic
-        # TraceRecord lists.
+        # Every run drains fast records.  Generated per-SM walkers serve
+        # them when no probe is attached and the per-line reference is not
+        # forced; they are built once per engine and reused across runs —
+        # every object a walker binds (cache sets, stats, pipes, page maps,
+        # routes) is reset in place by ``system.reset()``.  Migrating
+        # placement builds none (None) and runs per-line.
+        memsys = self.system.memsys
+        self._geometry = memsys.walk_geometry()
         if telemetry is None and self.batched:
-            cached = self._fast_cache
-            if cached is None:
-                memsys = self.system.memsys
-                walkers = memsys.make_walkers()
-                cached = (walkers, memsys.walk_geometry())
-                self._fast_cache = cached
-            self._walkers, self._geometry = cached
+            if self._built_walkers is _UNBUILT:
+                self._built_walkers = memsys.make_walkers()
+            self._walkers = self._built_walkers
         else:
             self._walkers = None
-            self._geometry = None
 
         # Live invariant checking is opt-in and read-only: with no validator
         # attached the loop pays one `is not None` test per kernel, and an
@@ -247,10 +247,7 @@ class SimulationEngine:
                 self._launch(heap, kernel, cta_index, sm, start_time)
                 placed = True
 
-        if telemetry is None and self.batched:
-            kernel_end = self._drain_fast(heap, kernel, start_time)
-        else:
-            kernel_end = self._drain_general(heap, kernel, start_time)
+        kernel_end = self._drain(heap, kernel, start_time)
 
         if not scheduler.exhausted:  # pragma: no cover - engine invariant
             raise RuntimeError(
@@ -274,81 +271,17 @@ class SimulationEngine:
         return quiesce if quiesce > kernel_end else kernel_end
 
     # ------------------------------------------------------------------
-    # event-heap drain loops
+    # event-heap drain loop
     # ------------------------------------------------------------------
-    #
-    # Two implementations of the same event semantics.  _drain_general is
-    # the readable reference: it supports an attached telemetry probe and
-    # the per-line memory path.  _drain_fast is the production hot loop
-    # for the common case (no probe, batched memory path): per-pop
-    # attribute lookups hoisted into locals, issue charging inlined, and
-    # the record's memory batch routed through the bulk MemorySystem
-    # paths.  Both are bit-identical (tests/test_perf_identity.py); any
-    # change to one must be mirrored in the other.
 
-    def _drain_general(self, heap: List, kernel: KernelLaunch, start_time: float) -> float:
+    def _drain(self, heap: List, kernel: KernelLaunch, start_time: float) -> float:
         scheduler = self.scheduler
+        system = self.system
+        memsys = system.memsys
+        load = memsys.load
+        store = memsys.store
         telemetry = self._telemetry
-        memsys = self.system.memsys
-        batched = self.batched
-        kernel_end = start_time
-        while heap:
-            ready, _, group = heappop(heap)
-            # Heap pops are monotone in ready time (pushes always re-arm at
-            # finish >= the current pop), so crossing a window boundary here
-            # closes the window exactly once.  Dormant (+inf) without a probe.
-            if ready >= self._next_sample:
-                self._next_sample = telemetry.take_window(
-                    ready, self.system, self.records_executed
-                )
-            sm = group.cta.sm
-            issue_start = sm.clock if sm.clock > ready else ready
-            record = group.records[group.position]
-            group.position += 1
-            reads = record.reads
-            writes = record.writes
-            sm.charge_issue(issue_start, record.compute_cycles + len(reads) + len(writes))
-
-            if batched:
-                mem_done = memsys.load_batch(issue_start, sm, reads) if reads else issue_start
-                if writes:
-                    memsys.store_batch(issue_start, sm, writes)
-            else:
-                mem_done = issue_start
-                for line in reads:
-                    done = memsys.load(issue_start, sm, line)
-                    if done > mem_done:
-                        mem_done = done
-                for line in writes:
-                    memsys.store(issue_start, sm, line)
-
-            finish = issue_start + record.compute_cycles
-            if mem_done > finish:
-                finish = mem_done
-            self.records_executed += 1
-
-            if group.position < len(group.records):
-                self._seq += 1
-                heappush(heap, (finish, self._seq, group))
-                continue
-
-            if finish > kernel_end:
-                kernel_end = finish
-            cta = group.cta
-            cta.groups_left -= 1
-            if cta.groups_left == 0:
-                self.ctas_executed += 1
-                sm.release_slot()
-                next_index = scheduler.next_cta(sm)
-                if next_index is not None:
-                    self._launch(heap, kernel, next_index, sm, finish)
-        return kernel_end
-
-    def _drain_fast(self, heap: List, kernel: KernelLaunch, start_time: float) -> float:
-        scheduler = self.scheduler
-        memsys = self.system.memsys
-        load_batch = memsys.load_batch
-        store_batch = memsys.store_batch
+        next_sample = self._next_sample
         pop = heappop
         push = heappush
         seq = self._seq
@@ -356,15 +289,21 @@ class SimulationEngine:
         kernel_end = start_time
         while heap:
             ready, _, group = pop(heap)
+            # Heap pops are monotone in ready time (pushes always re-arm at
+            # finish >= the current pop), so crossing a window boundary here
+            # closes the window exactly once.  Dormant (+inf) without a probe.
+            if ready >= next_sample:
+                next_sample = telemetry.take_window(
+                    ready, system, self.records_executed + records_executed
+                )
             cta = group.cta
             sm = cta.sm
             clock = sm.clock
             issue_start = clock if clock > ready else ready
             position = group.position
             records = group.records
-            # Fast records carry the issue busy time pre-divided (same
-            # left-to-right arithmetic as SM.charge_issue) alongside the
-            # plain read/write line tuples.
+            # Fast records carry the issue busy time pre-divided by the
+            # SM's issue throughput alongside the plain line tuples.
             compute_cycles, busy, reads, writes = records[position]
             position += 1
             group.position = position
@@ -378,9 +317,13 @@ class SimulationEngine:
                 else:
                     mem_done = issue_start
             else:
-                mem_done = load_batch(issue_start, sm, reads) if reads else issue_start
-                if writes:
-                    store_batch(issue_start, sm, writes)
+                mem_done = issue_start
+                for line in reads:
+                    done = load(issue_start, sm, line)
+                    if done > mem_done:
+                        mem_done = done
+                for line in writes:
+                    store(issue_start, sm, line)
 
             finish = issue_start + compute_cycles
             if mem_done > finish:
@@ -405,6 +348,7 @@ class SimulationEngine:
                     self._launch(heap, kernel, next_index, sm, finish)
                     seq = self._seq
         self._seq = seq
+        self._next_sample = next_sample
         self.records_executed += records_executed
         # Fold the walkers' deferred counters into the real stats objects
         # before anything at the kernel boundary (live validation, cache
@@ -424,23 +368,17 @@ class SimulationEngine:
                     f"kernel {kernel.label!r}: trace_fn returned {len(trace)} groups, "
                     f"expected {kernel.groups_per_cta}"
                 )
-            # Pick the record representation for the active drain loop:
-            # fast records (derived and cached by columnar traces, packed
-            # per launch for plain lists) or the classic TraceRecord view.
-            geometry = self._geometry
-            walk = None
-            if geometry is not None:
-                fast_groups = getattr(trace, "fast_groups", None)
-                if fast_groups is not None:
-                    groups = fast_groups(geometry)
-                else:
-                    groups = _pack_plain_trace(trace, geometry)
-                walkers = self._walkers
-                if walkers is not None:
-                    walk = walkers[sm.sm_id][1 if self._kernel_unique else 0]
+            # Fast records: derived and cached by columnar traces, packed
+            # per launch for plain record lists.
+            fast_groups = getattr(trace, "fast_groups", None)
+            if fast_groups is not None:
+                groups = fast_groups(self._geometry)
             else:
-                base_groups = getattr(trace, "base_groups", None)
-                groups = base_groups() if base_groups is not None else trace
+                groups = _pack_plain_trace(trace, self._geometry)
+            walkers = self._walkers
+            walk = None
+            if walkers is not None:
+                walk = walkers[sm.sm_id][1 if self._kernel_unique else 0]
             sm.occupy_slot()
             cta = _CTA(cta_index, len(trace), sm)
             for records in groups:

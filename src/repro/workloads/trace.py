@@ -41,13 +41,14 @@ CTATrace = List[List[TraceRecord]]
 
 
 class WalkGeometry(NamedTuple):
-    """The memory-system shape a trace's fast records are specialized against.
+    """The memory-system shape a trace's fast records are packed against.
 
     Fast records carry each record's issue busy time pre-divided by the
     SM's ``issue_throughput``, the only system property they depend on.
-    Set indices and homing keys are not precomputed: the generated walkers
-    derive them from the line address, which costs the same as reading a
-    precomputed entry back.
+    The engine drains them on both memory paths (generated walkers and
+    per-line ``MemorySystem.load``/``store``).  Set indices and homing
+    keys are not precomputed: they are derived from the line address,
+    which costs the same as reading a precomputed entry back.
     """
 
     issue_throughput: float
@@ -66,12 +67,14 @@ class ColumnarCTATrace:
       within each record; ``is_write`` marks the store positions and is
       shared by all groups, whose record structure is identical).
     * :meth:`base_groups` — classic ``List[List[TraceRecord]]`` records
-      for the reference per-line path and any external consumer (cached).
+      for sequence access and external consumers (cached); the engine
+      does not read them.
     * :meth:`fast_groups` — records specialized for one
       :class:`WalkGeometry`: ``(compute_cycles, issue_busy, reads,
       writes)`` tuples whose ``reads``/``writes`` are the same plain line
-      tuples :meth:`base_groups` holds.  Both memory paths (generated
-      walkers and ``load_batch``/``store_batch``) consume them.  Cached per
+      tuples :meth:`base_groups` holds.  The engine's one drain loop
+      consumes them on both memory paths (generated walkers and per-line
+      ``load``/``store``).  Cached per
       geometry (benchmark harnesses interleave several configurations over
       the same memoized traces, so a one-slot cache would thrash and
       repack on every config switch).
@@ -208,9 +211,9 @@ class ColumnarCTATrace:
         """Records specialized for ``geometry`` (cached per geometry).
 
         Records are ``(compute_cycles, issue_busy, reads, writes)`` with
-        plain line tuples.  ``issue_busy`` is accumulated with the same
-        left-to-right float arithmetic as ``SM.charge_issue`` so the
-        engine's timing is bit-identical.
+        plain line tuples.  ``issue_busy`` is
+        ``(compute_cycles + reads + writes) / issue_throughput``, summed
+        left to right, the SM's issue-port time for the record.
         """
         cache = self._fast
         if cache is None:

@@ -256,7 +256,7 @@ class TestResetStats:
         config = baseline_mcm_gpu()
         sm = SM(0, 0, config.gpm.sm)
         sm.l1.access(1)
-        sm.charge_issue(0.0, 8)
+        sm.issue_busy_cycles = 2.0
         sm.reset()
         assert sm.l1.stats.accesses == 0
         assert sm.l1.stats.flushes == 0  # the reset flush is not pollution

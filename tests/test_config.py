@@ -59,6 +59,32 @@ class TestSystemConfigValidation:
             SystemConfig(name="x", n_gpms=4, gpm=config.gpm, scheduler="fifo")
 
 
+    @pytest.mark.parametrize("n_gpms", [1.5, 4.0, True, "4"])
+    def test_rejects_non_integer_gpms(self, n_gpms):
+        with pytest.raises(ValueError, match="n_gpms must be an integer"):
+            replace(baseline_mcm_gpu(), n_gpms=n_gpms)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("page_bytes", 0, "page_bytes must be a power of two"),
+            ("page_bytes", 100, "page_bytes must be a power of two"),
+            ("page_bytes", 64, "multiple of line_bytes"),
+            ("line_bytes", 0, "line_bytes must be a power of two"),
+            ("line_bytes", 96, "line_bytes must be a power of two"),
+        ],
+    )
+    def test_rejects_unbuildable_address_sizes(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(baseline_mcm_gpu(), **{field: value})
+
+    def test_explore_config_replace_fails_fast(self):
+        from repro.explore.spec import config_replace
+
+        with pytest.raises(ValueError, match="page_bytes"):
+            config_replace(baseline_mcm_gpu(), "page_bytes", 100)
+
+
 class TestBaselinePreset:
     def test_table3_parameters(self):
         config = baseline_mcm_gpu()

@@ -30,17 +30,11 @@ class TestSM:
         with pytest.raises(RuntimeError, match="more slots"):
             sm.release_slot()
 
-    def test_charge_issue_advances_clock(self):
-        system = build_system(baseline_mcm_gpu(n_gpms=2, sms_per_gpm=2))
-        sm = system.gpms[0].sms[0]
-        sm.charge_issue(10.0, 8.0)
-        assert sm.clock == pytest.approx(10.0 + 8.0 / sm.issue_throughput)
-
     def test_reset(self):
         system = build_system(baseline_mcm_gpu(n_gpms=2, sms_per_gpm=2))
         sm = system.gpms[0].sms[0]
         sm.occupy_slot()
-        sm.charge_issue(0.0, 100.0)
+        sm.clock = sm.issue_busy_cycles = 25.0
         sm.l1.access(5)
         sm.reset()
         assert sm.clock == 0.0

@@ -51,6 +51,16 @@ class TestDegenerateTraces:
         assert result.accesses == 0
         assert result.cycles >= 50.0
 
+    def test_record_issue_advances_sm_clock(self):
+        # One compute-only record of 8 instruction slots holds its SM's
+        # issue ports for 8 / issue_throughput cycles from the kernel start.
+        system = build_system(tiny_config())
+        kernel = KernelLaunch(1, 1, lambda c: [[TraceRecord(8.0, (), ())]], "k")
+        SimulationEngine(system).run(ExplicitWorkload([kernel]))
+        (sm,) = [sm for gpm in system.gpms for sm in gpm.sms if sm.ctas_launched]
+        assert sm.clock == pytest.approx(8.0 / sm.issue_throughput)
+        assert sm.issue_busy_cycles == sm.clock
+
     def test_empty_group_cta_retires(self):
         kernel = KernelLaunch(1, 2, lambda c: [[], [TraceRecord(1.0, (1,), ())]], "half")
         result = SimulationEngine(build_system(tiny_config())).run(ExplicitWorkload([kernel]))

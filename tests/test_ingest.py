@@ -190,6 +190,31 @@ class TestSchemaRejection:
         with pytest.raises(SchemaError, match="truncated"):
             load_document(path)
 
+    @pytest.mark.parametrize("first_line", ["[1, 2]", "5"], ids=["array", "number"])
+    def test_non_object_first_line(self, tmp_path, first_line):
+        path = self.write_tiny(tmp_path, lambda lines: [first_line] + lines[1:])
+        with pytest.raises(SchemaError, match="expected a JSON object"):
+            load_document(path)
+
+    def test_non_object_cta_line(self, tmp_path):
+        path = self.write_tiny(tmp_path, lambda lines: lines[:1] + ["7"] + lines[2:])
+        with pytest.raises(SchemaError, match="expected a JSON object"):
+            load_document(path)
+
+    def test_non_object_end_line(self, tmp_path):
+        path = self.write_tiny(tmp_path, lambda lines: lines[:-1] + ['{"end": [1]}'])
+        with pytest.raises(SchemaError, match="malformed end line"):
+            load_document(path)
+
+    def test_non_utf8_bytes(self, tmp_path):
+        path = self.write_tiny(tmp_path, lambda lines: lines)
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(IngestError, match="cannot read"):
+            load_document(path)
+        # A trace reference to the file maps to a wire error (HTTP 400).
+        with pytest.raises(WireError, match="cannot load trace"):
+            workload_from_wire({"trace": {"path": str(path)}})
+
     def test_negative_address_in_file(self, tmp_path):
         def mutate(lines):
             out = []

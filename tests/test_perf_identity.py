@@ -1,13 +1,16 @@
-"""Bit-identity and accounting tests for the hot-path performance pass.
+"""Bit-identity and accounting tests for the engine's two memory paths.
 
 Three contracts:
 
-1. **Bit-identity** — the batched memory path (``MemorySystem.load_batch``
-   / ``store_batch`` driven by the engine's ``_drain_fast`` loop) produces
-   a ``SimResult`` identical *field for field* to the reference per-line
-   path, on every behavioural regime in the matrix.  The per-line path is
-   kept behind ``engine.batched`` / the ``REPRO_SIM_PERLINE`` env knob as
-   the executable specification.
+1. **Bit-identity** — the generated walkers (``repro.core.walkgen``,
+   driven by the engine's one drain loop) produce a ``SimResult``
+   identical *field for field* to the reference per-line
+   ``MemorySystem.load``/``store`` path, on every behavioural regime in
+   the matrix and on configurations drawn from the whole space the
+   registry can build.  The per-line path is kept behind
+   ``engine.batched`` / the ``REPRO_SIM_PERLINE`` env knob as the
+   executable specification; migrating placement and probed runs always
+   take it.
 2. **Trace memoization** — materialized CTA traces are reused across
    kernel iterations and across runs (``materializations`` stays flat),
    and kernel-variant patterns still materialize per kernel.
@@ -19,6 +22,8 @@ Three contracts:
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.presets import (
     baseline_mcm_gpu,
@@ -27,6 +32,8 @@ from repro.core.presets import (
     multi_gpu,
 )
 from repro.core.walkgen import _CODE_CACHE
+from repro.interconnect.topology import topology_names
+from repro.memory.placement import PLACEMENT_POLICIES
 from repro.memory.cache import CacheStats, SetAssocCache
 from repro.sim.simulator import Simulator
 from repro.telemetry import Telemetry
@@ -67,7 +74,7 @@ def dense_stream():
 
 
 def simulate_with_path(workload, config, batched):
-    """Run ``workload`` forcing the batched or the per-line memory path."""
+    """Run ``workload`` with walkers allowed (``batched``) or per-line."""
     simulator = Simulator(config)
     simulator.engine.batched = batched
     return simulator.run(workload)
@@ -154,7 +161,7 @@ class TestBatchedPerLineIdentity:
     @pytest.mark.parametrize("make_config", CONFIG_MAKERS)
     def test_fast_path_choice(self, make_config):
         # Every fabric takes the generated walkers; migrating placement
-        # keeps load_batch/store_batch (no walkers).
+        # builds none and runs on the per-line path.
         config = make_config()
         memsys = Simulator(config).system.memsys
         walkers = memsys.make_walkers()
@@ -173,7 +180,7 @@ class TestBatchedPerLineIdentity:
         assert simulator.system.memsys.migration_bytes > 0
 
     def test_general_loop_with_probe_matches_fast_loop(self):
-        # Telemetry forces the general drain loop; results must not move.
+        # A probe forces the per-line path; results must not move.
         config = baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)
         fast = simulate_with_path(tiny_workload(), config, batched=True)
         simulator = Simulator(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
@@ -194,6 +201,38 @@ class TestBatchedPerLineIdentity:
         assert Simulator(monolithic_gpu(n_sms=32)).engine.batched is True
         monkeypatch.delenv("REPRO_SIM_PERLINE")
         assert Simulator(monolithic_gpu(n_sms=32)).engine.batched is True
+
+
+@st.composite
+def buildable_configs(draw):
+    """A config from the space the registry builds, with 2 SMs per GPM."""
+    n_gpms = draw(st.integers(1, 16))
+    l15 = draw(st.sampled_from(("none", "remote-only", "all")))
+    if l15 == "none":
+        base = baseline_mcm_gpu(n_gpms=n_gpms, sms_per_gpm=2)
+    else:
+        base = mcm_gpu_with_l15(
+            8, remote_only=l15 == "remote-only", n_gpms=n_gpms, sms_per_gpm=2
+        )
+    try:
+        return replace(
+            base,
+            topology=draw(st.sampled_from(topology_names())),
+            placement=draw(st.sampled_from(sorted(PLACEMENT_POLICIES))),
+            scheduler=draw(st.sampled_from(("centralized", "distributed", "dynamic"))),
+        )
+    except ValueError:
+        assume(False)
+
+
+class TestConfigSpaceIdentity:
+    @settings(max_examples=10, deadline=None)
+    @given(config=buildable_configs())
+    def test_walkers_match_per_line(self, config):
+        walkers = simulate_with_path(dense_stream(), config, batched=True)
+        perline = simulate_with_path(dense_stream(), config, batched=False)
+        assert asdict(walkers) == asdict(perline)
+        assert check_result(perline, config=config) == []
 
 
 def _with_cache_size(config, level, factor):

@@ -125,6 +125,16 @@ class TestWire:
             config_from_wire({"not": "a config"})
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_gpms", 1.5), ("page_bytes", 0), ("page_bytes", 100), ("line_bytes", 0)],
+    )
+    def test_unbuildable_config_rejected(self, field, value):
+        data = tiny_config().to_dict()
+        data[field] = value
+        with pytest.raises(WireError, match="bad system config"):
+            config_from_wire(data)
+
 # ----------------------------------------------------------------------
 # job store
 # ----------------------------------------------------------------------
